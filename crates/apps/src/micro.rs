@@ -237,9 +237,8 @@ pub fn diomp_collective(
 }
 
 /// Like [`diomp_collective`] but through the transport autotuner's
-/// protocol-selecting engine (`CollEngine::Auto`): LL-style fused eager
-/// sends over binomial trees below the table-derived crossover, the
-/// chunk-pipelined ring above it. Returns the full-fidelity
+/// protocol-selecting engine (`CollEngine::Auto`: per call, the engine
+/// the pricing model prices cheapest). Returns the full-fidelity
 /// `(size, µs, entries)` rows.
 pub fn diomp_collective_auto(
     platform: &PlatformSpec,
@@ -251,11 +250,52 @@ pub fn diomp_collective_auto(
     diomp_collective_full(platform, nodes, kind, sizes, engine)
 }
 
+/// The pricing model's view of the Fig. 6 communicator: per size, the
+/// engine `CollEngine::Auto` runs (`XcclComm::auto_choice`) and the
+/// priced µs of each of `engines` (`XcclComm::price_us`), read from rank
+/// 0's OMPCCL communicator over the world group of the `nodes`-node
+/// cluster under the transport autotuner's engine — the communicator
+/// [`diomp_collective_auto`] measures on.
+pub fn fig6_pricing(
+    platform: &PlatformSpec,
+    nodes: usize,
+    kind: CollKind,
+    sizes: &[u64],
+    engines: &[CollEngine],
+) -> Vec<(CollEngine, Vec<Option<f64>>)> {
+    let op = match kind {
+        CollKind::Broadcast => diomp_core::XcclOp::Broadcast { root: 0 },
+        CollKind::AllReduce => diomp_core::XcclOp::AllReduce { op: ReduceOp::SumF32 },
+    };
+    let cfg = DiompConfig::builder_on(platform.clone(), nodes)
+        .with_mode(DataMode::CostOnly)
+        .with_heap(1 << 20)
+        .with_coll_engine(diomp_core::Tuner::new(platform, Conduit::GasnetEx).coll_engine())
+        .build();
+    let out = Arc::new(Mutex::new(Vec::new()));
+    let (out2, sizes2, engines2) = (out.clone(), sizes.to_vec(), engines.to_vec());
+    DiompRuntime::run(cfg, move |ctx, rank| {
+        let world = rank.shared.world_group();
+        let comm = rank.ompccl_comm(ctx, &world);
+        if rank.rank == 0 {
+            *out2.lock() = sizes2
+                .iter()
+                .map(|&s| {
+                    let prices = engines2.iter().map(|e| comm.price_us(e, &op, s)).collect();
+                    (comm.auto_choice(&op, s), prices)
+                })
+                .collect();
+        }
+    })
+    .unwrap();
+    let rows = out.lock().clone();
+    rows
+}
+
 /// Like [`diomp_collective`] but pinned to the double-binary-tree
-/// engine (`CollEngine::Dbt`) with its table-derived chunking — the
-/// mid-band protocol `CollEngine::Auto` selects between the LL/tree
-/// and ring regimes. Returns the full-fidelity `(size, µs, entries)`
-/// rows; used by `bench_gate` to lock the DBT-vs-ring win relation.
+/// engine (`CollEngine::Dbt`) with its table-derived chunking. Returns
+/// the full-fidelity `(size, µs, entries)` rows; used by `bench_gate`
+/// to lock the DBT-vs-ring win relation.
 pub fn diomp_collective_dbt(
     platform: &PlatformSpec,
     nodes: usize,
@@ -513,7 +553,7 @@ pub enum ScaleEngine {
     Ring,
     /// Double binary tree, table-tuned chunking.
     Dbt,
-    /// The four-regime Auto dispatcher.
+    /// The priced Auto dispatcher.
     Auto,
 }
 

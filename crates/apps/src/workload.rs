@@ -248,7 +248,7 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadReport {
                     }
                     let (op, size) = draw(seed, j, i, &sizes);
                     let t0 = ctx.now();
-                    let wire = op.wire_factor(comm.ranks.len()) * size as f64;
+                    let wire = op.wire_factor(comm.ranks().len()) * size as f64;
                     match comm.try_collective(
                         ctx,
                         r,

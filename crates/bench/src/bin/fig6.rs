@@ -4,19 +4,19 @@
 //! through the emergent chunk-pipelined ring engine by default; pass
 //! `--profile` for the calibrated whole-collective curve fit (ablation)
 //! or `--auto` for the transport autotuner's protocol-selecting engine
-//! (LL/tree small-message fast paths, ring above the crossover — the
-//! configuration that reproduces the fitted small-size dips).
+//! (the priced argmin over LL/tree, double binary tree and ring — the
+//! configuration that reproduces the fitted small-size dips; the engine
+//! it picks is printed per size).
 //! `--json PATH` emits every cell — DiOMP µs with the run's
 //! scheduler-entry count, MPI µs, and the log-ratio — as `BENCH_*.json`
 //! records.
 
-use diomp_apps::micro::{diomp_collective_full, fig6_nodes, log_ratio, mpi_collective, CollKind};
-use diomp_bench::report::{json_path_from_args, BenchRecord};
-use diomp_bench::{mae, paper, print_ratio_row, sign_agreement, size_label};
-use diomp_core::{
-    crossover_bytes, dbt_crossover_bytes, default_nrings, CollEngine, Conduit, ReduceOp, Tuner,
-    XcclOp,
+use diomp_apps::micro::{
+    diomp_collective_full, fig6_nodes, fig6_pricing, log_ratio, mpi_collective, CollKind,
 };
+use diomp_bench::report::{json_path_from_args, BenchRecord};
+use diomp_bench::{engine_label, mae, paper, print_ratio_row, sign_agreement, size_label};
+use diomp_core::{CollEngine, Conduit, Tuner};
 use diomp_sim::PlatformSpec;
 
 /// Which DiOMP engine the run measures; `Auto` is derived per platform.
@@ -49,27 +49,15 @@ fn run_op(
     for (tag, name, platform, paper_row) in refs {
         let engine = sel.for_platform(&platform);
         let nodes = fig6_nodes(&platform);
-        // Under --auto, show where the three-regime dispatcher switches
-        // protocol for this op at this scale (LL/tree below the first
-        // boundary, double binary tree in the mid band, ring above).
-        if let CollEngine::Auto(ac) = engine {
-            let op = match kind {
-                CollKind::Broadcast => XcclOp::Broadcast { root: 0 },
-                CollKind::AllReduce => XcclOp::AllReduce { op: ReduceOp::SumF32 },
-            };
-            let n = nodes * platform.gpus_per_node;
-            let nrings = default_nrings(&platform);
-            let ll = crossover_bytes(&platform, &op, n, nrings, &ac);
-            let dbt = dbt_crossover_bytes(&platform, &op, n, nrings, &ac).max(ll);
-            if dbt > ll {
-                println!(
-                    "   [{tag}] auto regimes: LL/tree <= {}, DBT <= {}, ring above",
-                    size_label(ll),
-                    size_label(dbt)
-                );
-            } else {
-                println!("   [{tag}] auto regimes: LL/tree <= {}, ring above", size_label(ll));
-            }
+        // Under --auto, show which engine the pricing model picks for
+        // each size at this scale.
+        if let CollEngine::Auto(_) = engine {
+            let picks: Vec<String> = fig6_pricing(&platform, nodes, kind, sizes, &[])
+                .iter()
+                .zip(sizes)
+                .map(|((e, _), &s)| format!("{} {}", size_label(s), engine_label(e)))
+                .collect();
+            println!("   [{tag}] auto picks: {}", picks.join(", "));
         }
         let mpi = mpi_collective(&platform, nodes, kind, sizes);
         let full = diomp_collective_full(&platform, nodes, kind, sizes, engine);
@@ -84,11 +72,8 @@ fn run_op(
         // Tag the DiOMP rows with the engine so ring and --profile
         // artifacts stay distinguishable side by side.
         let eng = match engine {
-            CollEngine::Profile => "diomp_profile",
-            CollEngine::Ring(_) => "diomp",
-            CollEngine::Dbt(_) => "diomp_dbt",
-            CollEngine::Auto(_) => "diomp_auto",
-            CollEngine::ReductionServer(_) => "diomp_rserver",
+            CollEngine::Ring(_) => "diomp".to_string(),
+            e => format!("diomp_{}", engine_label(&e)),
         };
         for (i, &(s, us, entries)) in full.iter().enumerate() {
             let sz = size_label(s);

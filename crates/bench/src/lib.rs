@@ -390,6 +390,19 @@ pub mod report {
     }
 }
 
+/// Short engine name for tables and `BENCH_*.json` record names.
+pub fn engine_label(engine: &diomp_core::CollEngine) -> &'static str {
+    use diomp_core::CollEngine;
+    match engine {
+        CollEngine::Profile => "profile",
+        CollEngine::Ring(_) => "ring",
+        CollEngine::Dbt(_) => "dbt",
+        CollEngine::LlTree(_) => "ll",
+        CollEngine::ReductionServer(_) => "rsv",
+        CollEngine::Auto(_) => "auto",
+    }
+}
+
 /// Format a byte size the way the paper labels its axes.
 pub fn size_label(bytes: u64) -> String {
     if bytes >= 1 << 20 {

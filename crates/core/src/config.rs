@@ -151,10 +151,10 @@ pub struct DiompConfig {
     /// offload): carve this many nodes out of every communicator as
     /// data-passive reduction servers. Disabled by default — the
     /// published single-job curves carry no server nodes. With servers
-    /// provisioned, large allreduces offload onto them (the fourth
-    /// [`CollEngine::Auto`] regime, or [`CollEngine::ReductionServer`]
-    /// explicitly); every other op, and every degraded case, falls back
-    /// to the client-side schedules.
+    /// provisioned, allreduces offload onto them (where
+    /// [`CollEngine::Auto`] prices the server schedule cheapest, or
+    /// [`CollEngine::ReductionServer`] explicitly); every other op, and
+    /// every degraded case, falls back to the client-side schedules.
     pub coll_servers: ServerSpec,
     /// QoS class of this job's collective traffic on a shared fabric.
     /// Communicators created by the runtime charge their chunk transfers

@@ -81,8 +81,8 @@ impl DiompRuntime {
         let world = FabricWorld::new(topo, devs, nranks);
         // Attach the simulator: the health vector (gaspi_state_vec) then
         // derives *live* from whichever fault plan is installed when it
-        // is read — degradation-aware layers (rail blacklisting, regime
-        // re-pricing) see faults armed after build too, not a build-time
+        // is read — degradation-aware layers (rail blacklisting, `Auto`
+        // pricing) see faults armed after build too, not a build-time
         // snapshot — and any rank-kill events are expanded into kernel
         // dead windows over the doomed ranks' exclusive links.
         world.attach_sim(&h);

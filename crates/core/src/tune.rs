@@ -20,10 +20,9 @@
 //!   window usually suffices (that is *why* the knee is the right chunk
 //!   size).
 //! * **Which collective protocol?** The [`CollEngine::Auto`] engine with
-//!   an LL hop cost read from the active conduit's tables; the
-//!   per-(op, device count) crossover itself is computed in
-//!   `diomp-xccl` from the same platform spec
-//!   ([`diomp_xccl::crossover_bytes`]).
+//!   an LL hop cost read from the active conduit's tables; the per-call
+//!   choice itself is the argmin of `diomp-xccl`'s pricing model over
+//!   the same platform spec ([`diomp_xccl::XcclComm::auto_choice`]).
 //!
 //! Precedence everywhere: **explicit config > tuned > disabled** — an
 //! explicit [`PipelineConfig`]/[`CollEngine`] always wins, `.tuned()`
@@ -32,10 +31,7 @@
 
 use diomp_fabric::ReduceOp;
 use diomp_sim::{BwCurve, PlatformId, PlatformSpec};
-use diomp_xccl::{
-    default_nrings, rserver_crossover_bytes, AutoConfig, CollEngine, RingConfig, ServerLayout,
-    XcclOp,
-};
+use diomp_xccl::{default_nrings, AutoConfig, CollEngine, RingConfig, XcclOp};
 
 use crate::config::{Conduit, PipelineConfig};
 
@@ -59,8 +55,8 @@ pub struct TuneTable {
     pub conduit: Conduit,
     /// Knee-derived large-message RMA pipeline parameters.
     pub pipeline: PipelineConfig,
-    /// Collective protocol-selection parameters (LL hop cost, regime
-    /// guardrails, and the live per-op ring fallbacks) for
+    /// Collective protocol-selection parameters (LL hop cost and wire
+    /// efficiency, and the live per-op ring chunking) for
     /// [`CollEngine::Auto`].
     pub auto: AutoConfig,
 }
@@ -148,10 +144,10 @@ impl<'a> Tuner<'a> {
     /// hop cost and wire efficiency are the active conduit's fused-send
     /// initiation cost and asymptotic efficiency (no separate completion
     /// round — the flag rides with the payload), through
-    /// [`AutoConfig::for_conduit`], the single home of the conversions
-    /// and remaining defaults. The *live* tuned ring configurations are
-    /// threaded in, so the crossover pricing and the fallback engine can
-    /// never diverge (the PR 5 headline bugfix).
+    /// [`AutoConfig::for_conduit`], the single home of the conversions.
+    /// The *live* tuned ring configurations are threaded in, so the
+    /// pricing and the engine that runs can never diverge (the PR 5
+    /// headline bugfix).
     pub fn auto_config(&self) -> AutoConfig {
         AutoConfig::for_conduit(
             self.op_overhead_us(),
@@ -164,27 +160,6 @@ impl<'a> Tuner<'a> {
     /// The tuned collective engine.
     pub fn coll_engine(&self) -> CollEngine {
         CollEngine::Auto(self.auto_config())
-    }
-
-    /// Model-level reduction-server crossover for a full-node layout of
-    /// `client_nodes` + `server_nodes`: the smallest allreduce size from
-    /// which offloading onto the servers beats the table-tuned ring at
-    /// every larger size (0 when the band never opens — no servers, or a
-    /// server NIC pool too starved to absorb the fan-back). Priced from
-    /// the same live ring configuration the engine would fall back to.
-    /// Capacity planning only — the engine re-derives its own boundary
-    /// per communicator from the *live* (health-filtered) server set.
-    pub fn rserver_crossover(&self, client_nodes: usize, server_nodes: usize) -> u64 {
-        let layout = ServerLayout::full_nodes(self.platform, client_nodes, server_nodes);
-        let n = client_nodes * self.platform.gpus_per_node.max(1);
-        rserver_crossover_bytes(
-            self.platform,
-            &XcclOp::AllReduce { op: ReduceOp::SumF32 },
-            n,
-            default_nrings(self.platform),
-            &layout,
-            &self.auto_config(),
-        )
     }
 
     /// The full derived parameter set.
@@ -329,7 +304,7 @@ mod tests {
     fn tuned_rings_are_threaded_live_and_differ_per_op() {
         // The PR 5 headline bugfix at the tuner level: the AutoConfig the
         // engine runs must carry exactly the per-op ring derivation
-        // (crossover pricing and fallback can never diverge), and the
+        // (pricing and the engine that runs can never diverge), and the
         // derivation is genuine — the op classes' calibrated step costs
         // differ, so their rings do too.
         let platform = PlatformSpec::platform_a();
@@ -338,35 +313,6 @@ mod tests {
         assert_eq!(a.ring_bcast(), tuner.ring_config(&XcclOp::Broadcast { root: 0 }));
         assert_eq!(a.ring_allred(), tuner.ring_config(&XcclOp::AllReduce { op: ReduceOp::SumF32 }));
         assert_ne!(a.ring_bcast(), a.ring_allred(), "op classes must tune differently on A");
-    }
-
-    #[test]
-    fn rserver_crossover_opens_on_provisioned_layouts_only() {
-        // Capacity planning via the tuner: matched client/server node
-        // counts open the offload band on every platform; a single
-        // server node against 15 client nodes is injection-starved on
-        // the fan-back and the band stays shut. Zero server nodes is
-        // trivially shut.
-        for (p, c, s) in [
-            (PlatformSpec::platform_a(), 8usize, 8usize),
-            (PlatformSpec::platform_b(), 4, 4),
-            (PlatformSpec::platform_c(), 8, 8),
-        ] {
-            let t = Tuner::new(&p, Conduit::GasnetEx);
-            let cut = t.rserver_crossover(c, s);
-            assert!(
-                cut > 0 && cut <= 16 << 20,
-                "{}: matched layout must open at or below 16 MiB, got {cut}",
-                p.name
-            );
-            assert_eq!(t.rserver_crossover(c + s, 0), 0, "{}: no servers, no band", p.name);
-        }
-        let a = PlatformSpec::platform_a();
-        assert_eq!(
-            Tuner::new(&a, Conduit::GasnetEx).rserver_crossover(15, 1),
-            0,
-            "a starved server pool must never be priced open"
-        );
     }
 
     #[test]

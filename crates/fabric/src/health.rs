@@ -8,8 +8,8 @@
 //! NIC endpoint appears in a degradation window is reported `Degraded`
 //! (with the worst bandwidth factor), and a dead link (factor 0) marks
 //! the rank `Dead`. Collectives consult this vector to blacklist rails
-//! and re-price regime crossovers against the bandwidth they will
-//! actually observe.
+//! and price their engines against the bandwidth they will actually
+//! observe.
 
 use std::collections::BTreeMap;
 

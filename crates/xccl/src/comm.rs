@@ -1,49 +1,25 @@
 //! XCCL communicators: bootstrap, topology discovery, collective launch.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use diomp_fabric::{FabricWorld, HealthVec, RankHealth};
-use diomp_sim::{derive_seed, Ctx, Dur, FlowId, QosClass, SimTime, Wait};
+use diomp_sim::{derive_seed, Ctx, Dur, FlowId, PlatformSpec, QosClass, SimTime, Wait};
 use parking_lot::Mutex;
 
 use crate::dbt;
-use crate::gate::{CollAbort, CollGate, DeviceBuf};
+use crate::gate::{Arrival, CollAbort, CollGate, DeviceBuf};
 use crate::ll;
 use crate::ops::XcclOp;
+use crate::price::{self, Shape};
 use crate::ring::{self, CollEngine, Rail};
-use crate::rserver::{self, ServerLayout, ServerPlacement, ServerSet, ServerSpec};
+use crate::rserver::{self, ServerLayout, ServerSet, ServerSpec};
 use crate::unique_id::UniqueId;
-
-/// Process-global gate registry: every rank constructs its own
-/// communicator object, but all communicators created from the same
-/// [`UniqueId`] share one rendezvous gate — that sharing is exactly what
-/// the UniqueId bootstrap establishes in NCCL.
-fn gate_for(id: UniqueId, n: usize) -> Arc<CollGate> {
-    static GATES: OnceLock<Mutex<HashMap<u64, Arc<CollGate>>>> = OnceLock::new();
-    let gates = GATES.get_or_init(|| Mutex::new(HashMap::new()));
-    gates.lock().entry(id.bits()).or_insert_with(|| Arc::new(CollGate::new(n))).clone()
-}
-
-/// How communicator construction treats rails whose edges the health
-/// vector (`gaspi_state_vec`) marks dead.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RailPolicy {
-    /// Blacklist dead rails and re-split the payload over the survivors,
-    /// trading aggregate bandwidth for avoiding a 1000×-slow dead edge.
-    /// At least one rail always survives: with every rail condemned
-    /// there is no better topology to retreat to, so the layout stays
-    /// unchanged and the injector's replay makes the damage visible.
-    #[default]
-    AvoidDead,
-    /// Keep every rail regardless of health (measurement / debugging —
-    /// e.g. quantifying what the blacklist buys).
-    KeepAll,
-}
 
 /// Construction options for [`XcclComm::init`] — the one communicator
 /// constructor. `CommOpts::default()` reproduces the historical
-/// `init` behaviour (ring engine, normal QoS, dead rails avoided);
+/// `init` behaviour (ring engine, normal QoS, no reduction servers);
 /// override fields with struct-update syntax:
 ///
 /// ```ignore
@@ -54,15 +30,14 @@ pub enum RailPolicy {
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CommOpts {
-    /// Completion-time engine (emergent ring protocol, DBT, LL/tree
-    /// auto-selection, or the calibrated profile).
+    /// Completion-time engine (emergent ring protocol, DBT, LL/tree,
+    /// reduction server, the priced auto-selection, or the calibrated
+    /// profile).
     pub engine: CollEngine,
     /// QoS class of the owning job: fixes the weight this communicator's
     /// chunk traffic carries in the per-link weighted fair queue when
     /// contention is armed ([`diomp_sim::Sim::enable_contention`]).
     pub qos: QosClass,
-    /// Degraded-rail handling at ring construction.
-    pub rail_policy: RailPolicy,
     /// Reduction-server designation: how many whole nodes of the
     /// communicator are dedicated in-network reduction servers (see
     /// [`ServerSpec`]; the default disables the server path). Server
@@ -86,19 +61,141 @@ pub struct RingInfo {
     pub nrings: usize,
 }
 
+/// The layout every rank of one communicator shares: a pure function of
+/// (world, ranks, server designation, health at build time), so it is
+/// built once per [`UniqueId`] by the first rank to initialise and
+/// shared by `Arc` — each rank's [`XcclComm`] keeps only its own flows.
+pub(crate) struct CommPlan {
+    /// Participating ranks, in order.
+    ranks: Vec<usize>,
+    /// Node-major device order and rail count.
+    ring: RingInfo,
+    /// Per-rail rotated ring orders with their edge link assignments,
+    /// dead rails filtered out.
+    rails: Vec<Rail>,
+    /// Resolved reduction-server set (None when [`CommOpts::servers`] is
+    /// disabled).
+    servers: Option<ServerSet>,
+    /// NIC-level shape of the live server set, for pricing.
+    server_layout: Option<ServerLayout>,
+    /// The rendezvous gate every rank's collective calls meet at — the
+    /// sharing the UniqueId bootstrap establishes in NCCL.
+    gate: CollGate,
+}
+
+impl CommPlan {
+    fn build(world: &FabricWorld, ranks: Vec<usize>, servers: ServerSpec) -> CommPlan {
+        // Node-major device ordering minimises ring node-crossings.
+        let mut order: Vec<usize> = ranks.iter().flat_map(|&r| world.devices_of(r)).collect();
+        order.sort_by_key(|&f| (world.devs.dev(f).loc.node, world.devs.dev(f).loc.gpu));
+        let mut node_ids: Vec<usize> = order.iter().map(|&f| world.devs.dev(f).loc.node).collect();
+        node_ids.dedup();
+        let nodes = node_ids.len();
+        let devs_per_node = order.len().div_ceil(nodes.max(1));
+        let nrings = world.topo.nics_per_node().min(devs_per_node).max(1);
+
+        // Degradation awareness: rails whose edges ride a link the
+        // health vector (`gaspi_state_vec`) marks dead are blacklisted,
+        // trading aggregate bandwidth for avoiding a 1000×-slow dead
+        // edge. At least one rail always survives: with every rail
+        // condemned there is no better topology to retreat to, so the
+        // layout stays unchanged and the injector's replay makes the
+        // damage visible. On a healthy fabric the filter drops nothing.
+        let health = world.health();
+        let mut rails = ring::build_rails(world, &order, nrings);
+        let alive: Vec<Rail> =
+            rails.iter().filter(|r| !r.uses_dead_link(&health)).cloned().collect();
+        if !alive.is_empty() {
+            rails = alive;
+        }
+        let nrings = rails.len();
+
+        // Reduction-server carving: whole node blocks from the tail of
+        // the node-major order become infrastructure (at least one
+        // client node always remains). Server devices whose NIC the
+        // health vector marks dead are blacklisted — the stripes
+        // re-split over the survivors, and with *every* server dead the
+        // set is empty and the engines fall back to the ring schedule:
+        // degrade, never hang.
+        let servers = (servers.enabled() && nodes > 1).then(|| {
+            let nsrv = servers.nodes.min(nodes - 1);
+            let srv_nodes = node_ids[nodes - nsrv..].to_vec();
+            let devs: Vec<usize> = order
+                .iter()
+                .copied()
+                .filter(|&f| {
+                    let d = world.devs.dev(f);
+                    srv_nodes.contains(&d.loc.node) && health.link_factor_milli(d.nic) != 0
+                })
+                .collect();
+            ServerSet { nodes: srv_nodes, devs }
+        });
+        let server_layout = servers.as_ref().map(|srv| {
+            let mut nics: Vec<usize> =
+                srv.devs.iter().map(|&f| world.devs.dev(f).nic.index()).collect();
+            nics.sort_unstable();
+            nics.dedup();
+            let client_blocks = nodes - srv.nodes.len();
+            let client_devs =
+                order.iter().filter(|&&f| !srv.nodes.contains(&world.devs.dev(f).loc.node)).count();
+            ServerLayout {
+                client_blocks,
+                server_devs: srv.devs.len(),
+                server_nics: nics.len(),
+                chain: client_devs.div_ceil(client_blocks.max(1)),
+            }
+        });
+
+        let gate = CollGate::new(ranks.len());
+        CommPlan {
+            ranks,
+            ring: RingInfo { order, nodes, nrings },
+            rails,
+            servers,
+            server_layout,
+            gate,
+        }
+    }
+
+    /// The communicator shape the pricing model reads.
+    fn shape(&self) -> Shape {
+        Shape { n: self.ring.order.len(), nrings: self.ring.nrings, servers: self.server_layout }
+    }
+}
+
+/// The plan for `id` on `world`: the first rank to initialise builds it,
+/// later ranks clone the `Arc`. The process-global registry holds weak
+/// references, so a plan lives exactly as long as some rank's
+/// communicator does, and one `UniqueId` reused on another world never
+/// aliases its layout.
+fn shared_plan(
+    world: &Arc<FabricWorld>,
+    id: UniqueId,
+    ranks: Vec<usize>,
+    servers: ServerSpec,
+) -> Arc<CommPlan> {
+    type Registry = Mutex<HashMap<(u64, usize), Weak<CommPlan>>>;
+    static PLANS: OnceLock<Registry> = OnceLock::new();
+    let mut plans = PLANS.get_or_init(Registry::default).lock();
+    let key = (id.bits(), Arc::as_ptr(world) as usize);
+    if let Some(plan) = plans.get(&key).and_then(Weak::upgrade) {
+        debug_assert_eq!(plan.ranks, ranks, "every rank must initialise with the same ranks");
+        return plan;
+    }
+    plans.retain(|_, plan| plan.strong_count() > 0);
+    let plan = Arc::new(CommPlan::build(world, ranks, servers));
+    plans.insert(key, Arc::downgrade(&plan));
+    plan
+}
+
 /// A communicator over the devices of a set of ranks (the backend of one
 /// DiOMP group, paper §3.3).
 pub struct XcclComm {
     /// The fabric world.
     pub world: Arc<FabricWorld>,
-    /// Participating ranks, in order.
-    pub ranks: Vec<usize>,
     /// Bootstrap identifier this communicator was created from.
     pub id: UniqueId,
-    /// Discovered ring topology.
-    pub ring: RingInfo,
-    /// Completion-time engine (emergent ring protocol or calibrated
-    /// profile; see [`CollEngine`]).
+    /// Completion-time engine (see [`CollEngine`]).
     pub engine: CollEngine,
     /// QoS class of the owning job (see [`CommOpts::qos`]).
     pub qos: QosClass,
@@ -106,13 +203,12 @@ pub struct XcclComm {
     /// engines issue, so armed contention prices them at the
     /// communicator's QoS weight.
     flow: FlowId,
-    /// Per-rail rotated ring orders with their edge link assignments.
-    rails: Arc<Vec<Rail>>,
-    /// Resolved reduction-server set (None when [`CommOpts::servers`]
-    /// is disabled — the communicator then behaves exactly as before
-    /// the server engine existed, including flow-id allocation).
-    servers: Option<Arc<ServerSet>>,
-    gate: Arc<CollGate>,
+    /// This rank's dedicated flow for reduction-server fan-back traffic
+    /// (None without servers — the communicator then allocates exactly
+    /// the flow ids it did before the server engine existed).
+    server_flow: Option<FlowId>,
+    /// The layout shared by every rank of this communicator.
+    plan: Arc<CommPlan>,
     /// Construction options, kept verbatim so [`XcclComm::shrink`] can
     /// re-initialise the survivor communicator with the same policy.
     opts: CommOpts,
@@ -123,10 +219,12 @@ impl XcclComm {
     /// rank must call with the same `ranks`/`id`/`opts`). Charges the
     /// library's initialisation cost (topology discovery, ring
     /// construction, transport setup) and synchronises all participants.
+    /// The layout is built once, by the first rank to arrive, and shared
+    /// by every rank of the communicator.
     ///
-    /// Engine, QoS weight and rail policy all ride in [`CommOpts`];
-    /// `CommOpts::default()` reproduces the historical default
-    /// constructor.
+    /// Engine, QoS weight and server designation all ride in
+    /// [`CommOpts`]; `CommOpts::default()` reproduces the historical
+    /// default constructor.
     pub fn init(
         ctx: &mut Ctx,
         world: &Arc<FabricWorld>,
@@ -136,82 +234,22 @@ impl XcclComm {
         opts: CommOpts,
     ) -> Arc<XcclComm> {
         assert!(ranks.contains(&my_rank));
-        let engine = opts.engine;
         // Topology discovery + transport setup (ncclCommInitRank).
         ctx.delay(Dur::micros(world.platform.coll.xccl_init_us));
-
-        // Node-major device ordering minimises ring node-crossings.
-        let mut order: Vec<usize> = ranks.iter().flat_map(|&r| world.devices_of(r)).collect();
-        order.sort_by_key(|&f| (world.devs.dev(f).loc.node, world.devs.dev(f).loc.gpu));
-        let mut nodes: Vec<usize> = order.iter().map(|&f| world.devs.dev(f).loc.node).collect();
-        nodes.dedup();
-        let nodes = nodes.len();
-        let devs_per_node = order.len().div_ceil(nodes.max(1));
-        let nrings = world.topo.nics_per_node().min(devs_per_node).max(1);
-
-        // Degradation awareness (under `RailPolicy::AvoidDead`, the
-        // default): rails whose edges ride a link the health vector
-        // (`gaspi_state_vec`) marks dead are blacklisted — see
-        // [`RailPolicy`]. On a healthy fabric the filter drops nothing
-        // and the layout is bit-identical to the fault-free build.
-        let mut rails = ring::build_rails(world, &order, nrings);
-        if opts.rail_policy == RailPolicy::AvoidDead {
-            let health = world.health();
-            let alive: Vec<Rail> =
-                rails.iter().filter(|r| !r.uses_dead_link(&health)).cloned().collect();
-            if !alive.is_empty() {
-                rails = alive;
-            }
-        }
-        let nrings = rails.len();
-
-        // Reduction-server carving: whole node blocks from the requested
-        // end of the node-major order become infrastructure (at least
-        // one client node always remains). Server devices whose NIC the
-        // health vector marks dead are blacklisted — the stripes
-        // re-split over the survivors, and with *every* server dead the
-        // set is empty and the engines fall back to the ring schedule:
-        // degrade, never hang. The dedicated server flow is allocated
-        // only when servers are configured, so server-free communicators
-        // keep their historical flow-id sequence bit for bit.
-        let servers = if opts.servers.enabled() && nodes > 1 {
-            let mut node_ids: Vec<usize> =
-                order.iter().map(|&f| world.devs.dev(f).loc.node).collect();
-            node_ids.dedup();
-            let nsrv = opts.servers.nodes.min(nodes - 1);
-            let srv_nodes: Vec<usize> = match opts.servers.placement {
-                ServerPlacement::Tail => node_ids[nodes - nsrv..].to_vec(),
-                ServerPlacement::Head => node_ids[..nsrv].to_vec(),
-            };
-            let health = world.health();
-            let devs: Vec<usize> = order
-                .iter()
-                .copied()
-                .filter(|&f| {
-                    let d = world.devs.dev(f);
-                    srv_nodes.contains(&d.loc.node) && health.link_factor_milli(d.nic) != 0
-                })
-                .collect();
-            let flow = ctx.new_flow(opts.qos.weight_milli());
-            Some(Arc::new(ServerSet { nodes: srv_nodes, devs, flow }))
-        } else {
-            None
-        };
-
-        let rails = Arc::new(rails);
-        let gate = gate_for(id, ranks.len());
+        let plan = shared_plan(world, id, ranks, opts.servers);
+        // Per-rank flows, in the historical allocation order: the server
+        // fan-back flow (only when servers are configured), then the
+        // communicator flow — flow ids, and so traces, replay unchanged.
+        let server_flow = plan.servers.as_ref().map(|_| ctx.new_flow(opts.qos.weight_milli()));
         let flow = ctx.new_flow(opts.qos.weight_milli());
         Arc::new(XcclComm {
             world: world.clone(),
-            ranks,
             id,
-            ring: RingInfo { order, nodes, nrings },
-            engine,
+            engine: opts.engine,
             qos: opts.qos,
             flow,
-            rails,
-            servers,
-            gate,
+            server_flow,
+            plan,
             opts,
         })
     }
@@ -219,23 +257,23 @@ impl XcclComm {
     /// Shrink the communicator onto the survivors of a failure:
     /// every rank the health vector marks [`RankHealth::Dead`] is
     /// dropped, and the survivor set is collectively re-initialised —
-    /// rails, reduction-server carving, QoS flows and all four Auto
-    /// regime boundaries are re-derived for the reduced topology by the
-    /// one constructor ([`XcclComm::init`]) with the *original*
-    /// construction options.
+    /// a fresh shared plan (rails, reduction-server carving) and fresh
+    /// QoS flows for the reduced topology, by the one constructor
+    /// ([`XcclComm::init`]) with the *original* construction options.
     ///
     /// Deterministic by construction: the replacement [`UniqueId`] is
     /// derived from the old communicator's id
     /// ([`diomp_sim::derive_seed`]), so every survivor — each calling
     /// `shrink` with the *same* health vector, e.g. the survivor
     /// agreement fixpoint ([`FabricWorld::converged_health`]) — lands on
-    /// the same fresh rendezvous gate without any extra bootstrap
-    /// round. Each survivor must call this collectively, like `init`.
+    /// the same fresh plan and rendezvous gate without any extra
+    /// bootstrap round. Each survivor must call this collectively, like
+    /// `init`.
     ///
     /// Panics if `my_rank` is itself marked dead or no rank survives.
     pub fn shrink(&self, ctx: &mut Ctx, health: &HealthVec, my_rank: usize) -> Arc<XcclComm> {
         let survivors: Vec<usize> = self
-            .ranks
+            .ranks()
             .iter()
             .copied()
             .filter(|&r| health.rank_health(r) != RankHealth::Dead)
@@ -251,34 +289,30 @@ impl XcclComm {
         // [`diomp_sim::SimHandle::flow_stats`] first (the workload
         // harness does).
         ctx.release_flow(self.flow);
-        if let Some(srv) = &self.servers {
-            ctx.release_flow(srv.flow);
+        if let Some(flow) = self.server_flow {
+            ctx.release_flow(flow);
         }
         XcclComm::init(ctx, &self.world, survivors, my_rank, id, self.opts)
     }
 
+    /// Participating ranks, in order.
+    pub fn ranks(&self) -> &[usize] {
+        &self.plan.ranks
+    }
+
+    /// Discovered ring topology.
+    pub fn ring(&self) -> &RingInfo {
+        &self.plan.ring
+    }
+
     /// Position of a device in the ring.
     pub fn ring_pos(&self, flat: usize) -> usize {
-        self.ring.order.iter().position(|&f| f == flat).expect("device not in communicator")
+        self.ring().order.iter().position(|&f| f == flat).expect("device not in communicator")
     }
 
     /// Number of devices in the communicator.
     pub fn ndevices(&self) -> usize {
-        self.ring.order.len()
-    }
-
-    /// Node ids dedicated as reduction servers (empty when
-    /// [`CommOpts::servers`] is disabled). These nodes' ranks are
-    /// communicator members but contribute no data to allreduce.
-    pub fn server_nodes(&self) -> &[usize] {
-        self.servers.as_ref().map_or(&[], |s| &s.nodes)
-    }
-
-    /// Live reduction-server devices (flat indices): the stripe owners
-    /// after dead-NIC blacklisting. Empty when no servers are
-    /// configured *or* every server NIC is dead (ring fallback).
-    pub fn live_server_devices(&self) -> &[usize] {
-        self.servers.as_ref().map_or(&[], |s| &s.devs)
+        self.ring().order.len()
     }
 
     /// The dedicated QoS flow server fan-back traffic is charged to
@@ -286,112 +320,41 @@ impl XcclComm {
     /// [`diomp_sim::SimHandle::flow_stats`] to observe server traffic
     /// separately from the communicator's client flow.
     pub fn server_flow(&self) -> Option<FlowId> {
-        self.servers.as_ref().map(|s| s.flow)
+        self.server_flow
     }
 
-    /// The NIC-level shape [`rserver::crossover_bytes`] prices this
-    /// communicator's server schedule from, reflecting the *live*
-    /// server set (dead-NIC blacklisting shrinks `server_devs` /
-    /// `server_nics` and the crossover retreats accordingly). None when
-    /// no servers are configured.
-    pub fn server_layout(&self) -> Option<ServerLayout> {
-        let srv = self.servers.as_ref()?;
-        let mut nics: Vec<usize> =
-            srv.devs.iter().map(|&f| self.world.devs.dev(f).nic.index()).collect();
-        nics.sort_unstable();
-        nics.dedup();
-        let client_blocks = self.ring.nodes - srv.nodes.len();
-        let client_devs = self
-            .ring
-            .order
-            .iter()
-            .filter(|&&f| !srv.nodes.contains(&self.world.devs.dev(f).loc.node))
-            .count();
-        Some(ServerLayout {
-            client_blocks,
-            server_devs: srv.devs.len(),
-            server_nics: nics.len(),
-            chain: client_devs.div_ceil(client_blocks.max(1)),
-        })
+    /// The engine a collective of `op` on `len` bytes runs on. Under
+    /// [`CollEngine::Auto`] that is the argmin of [`XcclComm::price_us`]
+    /// over LL/tree, DBT, ring and (with live servers) the reduction
+    /// server on the live per-op chunking, with one margin in favour of
+    /// the ring. Running the returned engine pinned is bit-identical to
+    /// the `Auto` call. A pinned engine is returned as is.
+    pub fn auto_choice(&self, op: &XcclOp, len: u64) -> CollEngine {
+        let CollEngine::Auto(ac) = self.engine else { return self.engine };
+        price::choose(&self.live_platform(), &self.plan.shape(), &ac, op, len)
     }
 
-    /// The regime boundaries of this communicator's engine for `op`:
-    /// `Some((ll_cut, dbt_cut, rsv_cut))` under [`CollEngine::Auto`],
-    /// `None` for the single-protocol engines. Payloads up to `ll_cut`
-    /// bytes run the LL/tree fast path, payloads in `(ll_cut, dbt_cut]`
-    /// run the double-binary-tree engine, payloads of `rsv_cut` bytes
-    /// and above run the reduction-server schedule when the
-    /// communicator has live servers (`rsv_cut == 0` means the fourth
-    /// regime is closed — no servers, or they never win), and
-    /// everything in between falls back to the configured ring;
-    /// `dbt_cut >= ll_cut` always, and an open `rsv_cut` always sits
-    /// strictly above `dbt_cut` (an empty mid band collapses onto the
-    /// lower boundary). All boundaries are derived from the platform
-    /// tables at query time — see [`ll::crossover_bytes`],
-    /// [`dbt::crossover_bytes`] and [`rserver::crossover_bytes`].
-    pub fn auto_regimes(&self, op: &XcclOp) -> Option<(u64, u64, u64)> {
-        match self.engine {
-            CollEngine::Auto(ac) => {
-                let n = self.ndevices();
-                // Degradation-aware re-pricing: both boundaries are
-                // priced against the bandwidth the fabric actually
-                // delivers, not the nominal tables. The health vector's
-                // worst *live* factor scales the wire rate (dead ranks
-                // are blacklisted by rail filtering, not priced); with a
-                // slower wire the latency advantage of the tree regimes
-                // buys relatively less, so both crossovers retreat
-                // toward the bandwidth-optimal ring. Healthy fabric
-                // (factor 1000) prices on the unmodified tables.
-                let factor = self.world.health().worst_live_factor_milli();
-                let degraded;
-                let platform = if factor < 1000 {
-                    let mut p = self.world.platform.clone();
-                    p.net.nic_gbps *= f64::from(factor) / 1000.0;
-                    degraded = p;
-                    &degraded
-                } else {
-                    &self.world.platform
-                };
-                let ll_cut = ll::crossover_bytes(platform, op, n, self.ring.nrings, &ac);
-                let dbt_cut =
-                    dbt::crossover_bytes(platform, op, n, self.ring.nrings, &ac).max(ll_cut);
-                // The fourth regime: priced from the *live* server set
-                // (dead-NIC blacklisting shrinks the layout and the
-                // crossover retreats) on the same degradation-scaled
-                // platform as the other boundaries. An open cut always
-                // sits strictly above the mid band so the regimes stay
-                // totally ordered.
-                let rsv_cut = match self.server_layout() {
-                    Some(layout) if layout.server_devs > 0 => {
-                        let c = rserver::crossover_bytes(
-                            platform,
-                            op,
-                            n,
-                            self.ring.nrings,
-                            &layout,
-                            &ac,
-                        );
-                        if c == 0 {
-                            0
-                        } else {
-                            c.max(dbt_cut.max(ll_cut) + 1)
-                        }
-                    }
-                    _ => 0,
-                };
-                Some((ll_cut, dbt_cut, rsv_cut))
-            }
-            _ => None,
+    /// The pricing model's estimate of `engine` running `op` on `len`
+    /// bytes over this communicator, in µs — the function `Auto` takes
+    /// its argmin of. `None` for engines with no schedule of their own
+    /// for the op here (and for `Profile` and `Auto`, which are not
+    /// candidates).
+    pub fn price_us(&self, engine: &CollEngine, op: &XcclOp, len: u64) -> Option<f64> {
+        price::price_us(&self.live_platform(), &self.plan.shape(), engine, op, len)
+    }
+
+    /// The platform as the fabric delivers it *now*: the health vector's
+    /// worst live factor scales the wire rate (dead ranks and rails are
+    /// blacklisted at init, not priced), so a slower wire shifts the
+    /// pricing toward the bandwidth-optimal engines. A healthy fabric
+    /// prices on the unmodified tables.
+    fn live_platform(&self) -> Cow<'_, PlatformSpec> {
+        let factor = self.world.health().worst_live_factor_milli();
+        let mut platform = Cow::Borrowed(&self.world.platform);
+        if factor < 1000 {
+            platform.to_mut().net.nic_gbps *= f64::from(factor) / 1000.0;
         }
-    }
-
-    /// The size (bytes) up to which this communicator's engine takes the
-    /// LL/tree small-message fast path for `op`: `Some(cut)` under
-    /// [`CollEngine::Auto`] (0 when the tree never wins, e.g. for
-    /// all-gather), `None` for the single-protocol engines — the lower
-    /// boundary of [`XcclComm::auto_regimes`].
-    pub fn auto_crossover(&self, op: &XcclOp) -> Option<u64> {
-        self.auto_regimes(op).map(|(ll_cut, _, _)| ll_cut)
+        platform
     }
 
     /// Launch a collective. Every participating rank calls this with the
@@ -435,17 +398,8 @@ impl XcclComm {
         len: u64,
         wait: Wait,
     ) -> Result<SimTime, CollAbort> {
-        let idx = self.ranks.iter().position(|&r| r == my_rank).expect("rank not in communicator");
-        let world = self.world.clone();
-        let order = self.ring.order.clone();
-        let n = order.len();
-        let engine = self.engine;
-        let flow = self.flow;
-        let rails = self.rails.clone();
-        let servers = self.servers.clone();
-        // Protocol selection happens here, through the same query the
-        // public API exposes: None for single-protocol engines.
-        let auto_cuts = self.auto_regimes(&op);
+        let idx =
+            self.ranks().iter().position(|&r| r == my_rank).expect("rank not in communicator");
         let dead = |ctx: &mut Ctx| {
             // GASPI discipline: the expired deadline is the failure
             // signal; probe the state vector (committing any death
@@ -455,166 +409,183 @@ impl XcclComm {
             self.world.probe_health();
             let now = ctx.now();
             ctx.handle().fault_plan().is_some_and(|p| {
-                self.ranks.iter().any(|&r| p.kill_time(r as u32).is_some_and(|t| t <= now))
+                self.ranks().iter().any(|&r| p.kill_time(r as u32).is_some_and(|t| t <= now))
             })
         };
-        self.gate.arrive_with(ctx, idx, my_bufs, wait, dead, move |ctx, arrivals| {
-            // Assemble buffers in ring order.
-            let mut by_flat: Vec<Option<DeviceBuf>> = vec![None; world.devs.len()];
-            for a in arrivals {
-                for b in &a.bufs {
-                    by_flat[b.flat] = Some(*b);
-                }
+        self.plan.gate.arrive_with(ctx, idx, my_bufs, wait, dead, |ctx, arrivals| {
+            self.execute(ctx, arrivals, op, len)
+        })
+    }
+
+    /// Run one collective in the last-arriving rank's task: pick the
+    /// engine (the priced argmin under `Auto`), drive its schedule, and
+    /// schedule the data semantics at the completion instant.
+    fn execute(&self, ctx: &mut Ctx, arrivals: &[Arrival], op: XcclOp, len: u64) -> SimTime {
+        let world = &self.world;
+        let plan = &self.plan;
+        let order = &plan.ring.order;
+        // Assemble buffers in ring order.
+        let mut by_flat: Vec<Option<DeviceBuf>> = vec![None; world.devs.len()];
+        for a in arrivals {
+            for b in &a.bufs {
+                by_flat[b.flat] = Some(*b);
             }
-            let bufs: Vec<DeviceBuf> = order
-                .iter()
-                .map(|&f| by_flat[f].unwrap_or_else(|| panic!("no buffer for device {f}")))
-                .collect();
+        }
+        let bufs: Vec<DeviceBuf> = order
+            .iter()
+            .map(|&f| by_flat[f].unwrap_or_else(|| panic!("no buffer for device {f}")))
+            .collect();
 
-            let root_pos = match op {
-                XcclOp::Broadcast { root } | XcclOp::Reduce { root, .. } => Some(root),
-                _ => None,
-            };
-            // Membership semantics of a server-equipped communicator:
-            // allreduce reduces over the *client* ranks only (in ring
-            // order — the sequential reference association), delivered
-            // to every client; server buffers pass through untouched.
-            // This is a property of the communicator, not of the engine
-            // that happens to run, so every engine on such a
-            // communicator stays byte-comparable — and the ring
-            // fallback for a dead server set produces the same bytes
-            // the server schedule would have.
-            let client_bufs: Option<Vec<DeviceBuf>> =
-                servers.as_ref().filter(|_| matches!(op, XcclOp::AllReduce { .. })).map(|srv| {
-                    order
-                        .iter()
-                        .zip(&bufs)
-                        .filter(|&(&f, _)| !srv.nodes.contains(&world.devs.dev(f).loc.node))
-                        .map(|(_, b)| *b)
-                        .collect()
-                });
-            // Live server set, when the schedule can actually run.
-            let live_srv = servers
-                .as_ref()
-                .filter(|s| !s.devs.is_empty() && matches!(op, XcclOp::AllReduce { .. }));
-            // Which semantics the completion action must apply: the ring
-            // engine combines in ring chain order; the profile, LL/tree,
-            // DBT and reduction-server paths keep the sequential
-            // reference order (`client_bufs`, when present, overrides
-            // both with the client-only fold).
-            let mut ring_semantics = false;
-            let done = match engine {
-                CollEngine::Auto(ac) => {
-                    let (ll_cut, dbt_cut, rsv_cut) =
-                        auto_cuts.expect("Auto engine always has regime boundaries");
-                    if len <= ll_cut {
-                        ll::execute(ctx, &world, &order, op, root_pos, len, ac)
-                    } else if len <= dbt_cut {
-                        // The mid band runs on the same live per-op
-                        // chunking as the ring fallback — one tuned
-                        // config, both engines.
-                        let root_flat = root_pos.map(|r| order[r]);
-                        dbt::execute(
-                            ctx,
-                            &world,
-                            &rails,
-                            flow,
-                            op,
-                            root_flat,
-                            len,
-                            ac.ring_for(&op),
-                        )
-                    } else if let Some(srv) = live_srv.filter(|_| rsv_cut > 0 && len >= rsv_cut) {
-                        // The fourth regime: clients are injection-bound
-                        // at these sizes, so hand the fold to the
-                        // server ranks — on the same live chunking as
-                        // the ring either side of the boundary.
-                        rserver::execute(ctx, &world, &rails, flow, srv, op, len, ac.ring_for(&op))
-                    } else {
-                        ring_semantics = true;
-                        let root_flat = root_pos.map(|r| order[r]);
-                        ring::execute(
-                            ctx,
-                            &world.platform,
-                            &rails,
-                            flow,
-                            op,
-                            root_flat,
-                            len,
-                            ac.ring_for(&op),
-                        )
-                    }
-                }
-                CollEngine::ReductionServer(rc) => match live_srv {
-                    Some(srv) => rserver::execute(ctx, &world, &rails, flow, srv, op, len, rc),
-                    // No live servers (never configured, or every
-                    // server NIC dead) or no server schedule for this
-                    // op: the ring runs with the same chunking, so the
-                    // engine stays total — degrade, never hang.
-                    None => {
-                        ring_semantics = true;
-                        let root_flat = root_pos.map(|r| order[r]);
-                        ring::execute(ctx, &world.platform, &rails, flow, op, root_flat, len, rc)
-                    }
-                },
-                CollEngine::Dbt(rc) => {
-                    // All-gather has no tree schedule: fall back to the
-                    // ring with the same chunking so the engine stays
-                    // total over ops.
-                    if matches!(op, XcclOp::AllGather) {
-                        ring_semantics = true;
-                        ring::execute(ctx, &world.platform, &rails, flow, op, None, len, rc)
-                    } else {
-                        let root_flat = root_pos.map(|r| order[r]);
-                        dbt::execute(ctx, &world, &rails, flow, op, root_flat, len, rc)
-                    }
-                }
-                CollEngine::Profile => {
-                    // Modelled completion: launch + ring-fill hop latency +
-                    // wire bytes over the library's achieved-bandwidth
-                    // curve. The curve is calibrated per platform against
-                    // the vendor library's measured behaviour (Fig. 6) and
-                    // already includes multi-rail aggregation and protocol
-                    // switches (LL/LL128/Simple), which is why it need not
-                    // be monotonic.
-                    let coll = &world.platform.coll;
-                    let profile = op.profile(coll);
-                    let hops = (n.max(2) - 1) as u32;
-                    let wire = (len as f64 * op.wire_factor(n)).ceil() as u64;
-                    let us = profile.time_us(wire.max(1), hops);
-                    ctx.now() + Dur::micros(us)
-                }
-                CollEngine::Ring(rc) => {
-                    // Emergent completion: run the chunk-pipelined ring
-                    // schedule over the simulated links in this (the last
-                    // arriving) task's context.
-                    ring_semantics = true;
-                    let root_flat = root_pos.map(|r| order[r]);
-                    ring::execute(ctx, &world.platform, &rails, flow, op, root_flat, len, rc)
-                }
-            };
+        let root_pos = match op {
+            XcclOp::Broadcast { root } | XcclOp::Reduce { root, .. } => Some(root),
+            _ => None,
+        };
+        let root_flat = root_pos.map(|r| order[r]);
+        let allreduce = matches!(op, XcclOp::AllReduce { .. });
+        // Membership semantics of a server-equipped communicator:
+        // allreduce reduces over the *client* ranks only (in ring
+        // order — the sequential reference association), delivered
+        // to every client; server buffers pass through untouched.
+        // This is a property of the communicator, not of the engine
+        // that happens to run, so every engine on such a
+        // communicator stays byte-comparable — and the ring
+        // fallback for a dead server set produces the same bytes
+        // the server schedule would have.
+        let client_bufs: Option<Vec<DeviceBuf>> =
+            plan.servers.as_ref().filter(|_| allreduce).map(|srv| {
+                order
+                    .iter()
+                    .zip(&bufs)
+                    .filter(|&(&f, _)| !srv.nodes.contains(&world.devs.dev(f).loc.node))
+                    .map(|(_, b)| *b)
+                    .collect()
+            });
+        // Live server set, when the schedule can actually run.
+        let live_srv = plan.servers.as_ref().filter(|s| !s.devs.is_empty() && allreduce);
 
-            // Real data semantics at completion. The ring engine combines
-            // reduction segments in ring chain order; the profile engine,
-            // the LL/tree fast path and the DBT engine keep the
-            // sequential reference order (tree reductions fold whole
-            // payloads with the root's contribution first — the
-            // reference association, property-tested byte-identical to
-            // the sequential fold). On a server-equipped communicator
-            // the client-only fold overrides both (membership
-            // semantics — uniform across engines).
-            let devs = world.devs.clone();
-            let rails2 = rails.clone();
-            ctx.handle().schedule_at(done, move |_| {
-                if let Some(cb) = &client_bufs {
-                    op.apply(&devs, cb, len)
-                } else if ring_semantics {
-                    ring::apply(&devs, &rails2, op, &bufs, len)
-                } else {
-                    op.apply(&devs, &bufs, len)
+        let engine = self.auto_choice(&op, len);
+        // Every engine stays total over ops: an op (or server set) an
+        // engine has no schedule for runs the ring on its chunking —
+        // degrade, never hang.
+        let ring_cfg = match engine {
+            CollEngine::Ring(rc) => Some(rc),
+            CollEngine::LlTree(ac) if matches!(op, XcclOp::AllGather) => Some(ac.ring_for(&op)),
+            CollEngine::Dbt(rc) if matches!(op, XcclOp::AllGather) => Some(rc),
+            CollEngine::ReductionServer(rc) if live_srv.is_none() => Some(rc),
+            _ => None,
+        };
+        let done = match (ring_cfg, engine) {
+            // Emergent completion: run the chunk-pipelined ring schedule
+            // over the simulated links in this (the last arriving) task's
+            // context.
+            (Some(rc), _) => {
+                ring::execute(ctx, &world.platform, &plan.rails, self.flow, op, root_flat, len, rc)
+            }
+            (None, CollEngine::LlTree(ac)) => ll::execute(ctx, world, order, op, root_pos, len, ac),
+            (None, CollEngine::Dbt(rc)) => {
+                dbt::execute(ctx, world, &plan.rails, self.flow, op, root_flat, len, rc)
+            }
+            (None, CollEngine::ReductionServer(rc)) => rserver::execute(
+                ctx,
+                world,
+                &plan.rails,
+                self.flow,
+                live_srv.expect("a server schedule needs live servers"),
+                self.server_flow.expect("a server-equipped communicator has a server flow"),
+                op,
+                len,
+                rc,
+            ),
+            (None, CollEngine::Profile) => {
+                // Modelled completion: launch + ring-fill hop latency +
+                // wire bytes over the library's achieved-bandwidth
+                // curve. The curve is calibrated per platform against
+                // the vendor library's measured behaviour (Fig. 6) and
+                // already includes multi-rail aggregation and protocol
+                // switches (LL/LL128/Simple), which is why it need not
+                // be monotonic.
+                let n = order.len();
+                let profile = op.profile(&world.platform.coll);
+                let hops = (n.max(2) - 1) as u32;
+                let wire = (len as f64 * op.wire_factor(n)).ceil() as u64;
+                let us = profile.time_us(wire.max(1), hops);
+                ctx.now() + Dur::micros(us)
+            }
+            (None, CollEngine::Ring(_) | CollEngine::Auto(_)) => {
+                unreachable!("the ring always has a config and Auto resolves to a concrete engine")
+            }
+        };
+
+        // Real data semantics at completion. The ring engine combines
+        // reduction segments in ring chain order; the profile engine,
+        // the LL/tree fast path, the DBT and the reduction-server
+        // engines keep the sequential reference order (tree reductions
+        // fold whole payloads with the root's contribution first — the
+        // reference association, property-tested byte-identical to the
+        // sequential fold). On a server-equipped communicator the
+        // client-only fold overrides both (membership semantics —
+        // uniform across engines).
+        let ring_semantics = ring_cfg.is_some();
+        let devs = world.devs.clone();
+        let plan = plan.clone();
+        ctx.handle().schedule_at(done, move |_| {
+            if let Some(cb) = &client_bufs {
+                op.apply(&devs, cb, len)
+            } else if ring_semantics {
+                ring::apply(&devs, &plan.rails, op, &bufs, len)
+            } else {
+                op.apply(&devs, &bufs, len)
+            }
+        });
+        done
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use diomp_device::{DataMode, DeviceTable};
+    use diomp_sim::{ClusterSpec, Sim, Topology};
+
+    #[test]
+    fn ranks_share_one_plan_and_shrink_builds_a_new_one() {
+        const NRANKS: usize = 8;
+        let mut sim = Sim::new();
+        let spec = ClusterSpec {
+            platform: diomp_sim::PlatformSpec::platform_a(),
+            nodes: 2,
+            gpus_per_node: 4,
+        };
+        let topo = Arc::new(Topology::build(&sim.handle(), spec));
+        let devs =
+            DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, Some(1 << 20));
+        let world = FabricWorld::new(topo, devs, NRANKS);
+        let id = UniqueId::generate();
+        let plans = Arc::new(Mutex::new(Vec::new()));
+        for r in 0..NRANKS {
+            let (world, plans) = (world.clone(), plans.clone());
+            sim.spawn(format!("rank{r}"), move |ctx| {
+                let comm =
+                    XcclComm::init(ctx, &world, (0..NRANKS).collect(), r, id, CommOpts::default());
+                plans.lock().push((r, comm.plan.clone()));
+                let mut health = HealthVec::healthy(NRANKS);
+                health.observe(NRANKS - 1, 0);
+                if r != NRANKS - 1 {
+                    let shrunk = comm.shrink(ctx, &health, r);
+                    assert_eq!(shrunk.ranks(), &(0..NRANKS - 1).collect::<Vec<_>>()[..]);
+                    plans.lock().push((NRANKS + r, shrunk.plan.clone()));
                 }
             });
-            done
-        })
+        }
+        sim.run().unwrap();
+        let plans = plans.lock();
+        let first = |lo: usize| plans.iter().find(|(r, _)| *r >= lo).unwrap().1.clone();
+        let (full, survivors) = (first(0), first(NRANKS));
+        for (r, plan) in plans.iter() {
+            let want = if *r < NRANKS { &full } else { &survivors };
+            assert!(Arc::ptr_eq(plan, want), "slot {r} must share its communicator's plan");
+        }
+        assert!(!Arc::ptr_eq(&full, &survivors), "shrink must build a fresh plan");
+        assert_eq!(plans.len(), 2 * NRANKS - 1);
     }
 }

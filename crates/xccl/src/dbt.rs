@@ -35,17 +35,14 @@
 //! machinery at the latency–bandwidth balance point), so the whole mid
 //! band is tuned from the platform tables, not constants.
 //!
-//! [`crossover_bytes`] prices this protocol against the live ring
-//! configuration from the same tables;
-//! [`CollEngine::Auto`](crate::CollEngine::Auto) uses it as the upper
-//! boundary of the mid band (the lower boundary is
-//! [`crate::ll::crossover_bytes`], the LL/tree cut).
+//! [`model_time_us`] prices this protocol from the same tables for
+//! [`CollEngine::Auto`](crate::CollEngine::Auto)'s argmin
+//! ([`crate::price::price_us`]).
 
 use diomp_fabric::FabricWorld;
-use diomp_sim::{Ctx, Dur, FlowId, PlatformSpec, ResourceId, SimTime};
+use diomp_sim::{Ctx, Dur, FlowId, PlatformSpec, SimTime};
 
 use crate::drive;
-use crate::ll::{AutoConfig, SAFETY};
 use crate::ops::XcclOp;
 use crate::ring::{self, Rail, RingConfig};
 
@@ -129,103 +126,71 @@ pub(crate) fn double_tree(n: usize) -> [Tree; 2] {
     [t0, t1]
 }
 
-/// The size up to which [`CollEngine::Auto`](crate::CollEngine::Auto)
-/// runs `op` on the double-binary-tree engine — the upper boundary of
-/// the mid band, in bytes. `0` means the band is empty (all-gather,
-/// which has no tree schedule; communicators too small for two useful
-/// trees; or platforms whose ring is never beaten).
+/// Closed-form estimate of the double-binary-tree schedule's completion
+/// time for an `s`-byte `op` on `n` devices over `nrings` rails with
+/// `chunk_bytes` chunking, in µs — the DBT term of
+/// [`crate::price::price_us`]. `None` when the engine has no tree
+/// schedule worth pricing: all-gather, and communicators too small for
+/// two useful node trees.
 ///
-/// Both sides are priced from the platform tables, mirroring the LL
-/// crossover. The DBT side pays its actual tree depth (computed from
+/// The critical path pays the node tree's actual depth (computed from
 /// the `double_tree` construction, not an idealised `log2 n`) in
-/// chunk-pipelined rounds — doubled for allreduce — plus the busiest
-/// NIC's serialised share of the rail payload (`2·s/nrings` for
-/// allreduce: half up + two halves down on the forwarding tree, half
-/// up on the leaf tree; `1·s/nrings` for the rooted chains). Both
-/// sides run on the live [`AutoConfig::ring_for`] chunking — the
-/// switch point is priced against exactly the ring (and exactly the
-/// chunk grain) that runs either side of it. The crossover is the
-/// largest power-of-two size where the DBT estimate, inflated by the
-/// shared 25 % safety margin, still undercuts the ring estimate, capped
-/// by [`AutoConfig::mid_max_bytes`].
-pub fn crossover_bytes(
+/// chunk-pipelined rounds — doubled for allreduce — plus the intra-node
+/// chain, inflated by the fill penalty; the busiest NIC then
+/// serialises its share of the payload:
+///
+/// * **Allreduce**: an interior-tree leader sends half up and two
+///   halves down on its forwarding tree and half up on its leaf tree —
+///   `2·s/nrings`, since the rails' rotated blocks spread the leaders
+///   over the node's NICs.
+/// * **Broadcast**: both trees of every rail are rotated onto the
+///   root's block, which puts the same blocks in the interior of both
+///   trees (each forwarding two halves to two children) and makes the
+///   root device lead its block on *every* rail. The interior NICs
+///   carry `2·s/nrings`, the root's NIC carries all rails' slices, `s`.
+/// * **Reduce**: links are charged to the sender, and every non-root
+///   leader sends each tree's half up exactly once — `s/nrings`.
+pub(crate) fn model_time_us(
     platform: &PlatformSpec,
     op: &XcclOp,
     n: usize,
     nrings: usize,
-    ac: &AutoConfig,
-) -> u64 {
-    // The mid band is allreduce-only. All-gather has no tree schedule;
-    // the rooted ops (broadcast, reduce) pin both tree roots — and the
-    // ring's injection point — to one device, so beyond the LL regime
-    // their cost is bound by the root's single NIC either way and the
-    // measured tree runs 1.1–2.5× *slower* than the pipelined ring at
-    // multi-MiB sizes. The symmetric allreduce is where the tree's
-    // depth reduction genuinely wins (the Fig. 6 mid-band gap).
-    // `CollEngine::Dbt` still executes the rooted schedules when pinned
-    // explicitly.
+    chunk_bytes: u64,
+    s: f64,
+) -> Option<f64> {
     let gpn = platform.gpus_per_node.max(1);
     let nb = n.div_ceil(gpn);
-    if n < 4 || nb < 2 || !matches!(op, XcclOp::AllReduce { .. }) {
-        return 0;
+    if n < 4 || nb < 2 || matches!(op, XcclOp::AllGather) {
+        return None;
     }
-    let ring_chunk = ac.ring_for(op).chunk_bytes;
-    let dbt_chunk = ring_chunk.max(1) as f64;
     let t = ring::tuning_for(platform, op, nrings);
     // Per-phase critical path: the node tree's depth (inter-node hops,
     // each carrying a chunk on the wire) plus the intra-node chain
-    // (fast fabric — its chunk wire time is negligible, its per-hop
-    // step cost is not).
+    // (fast GPU fabric — its chunk wire time is negligible, its per-hop
+    // step cost and link latency are not).
     let tree_depth = double_tree(nb).iter().map(Tree::depth).max().unwrap() as f64;
     let chain = (n.min(gpn) - 1) as f64;
-    let (phases, wire_mult) = match op {
-        XcclOp::AllReduce { .. } => (2.0, 2.0),
-        _ => (1.0, 1.0),
-    };
+    let chain_lat = platform.intra.gpu_link_lat_us;
+    let phases = if matches!(op, XcclOp::AllReduce { .. }) { 2.0 } else { 1.0 };
     let lat = platform.net.latency_us;
     let bw = platform.net.nic_gbps * t.inter_eff * 1e3; // B/µs per edge
-    let nrings = nrings.max(1);
-    let nrings_f = nrings as f64;
+    let nrings_f = nrings.max(1) as f64;
     // The emergent schedule's overhead over the pure bandwidth bound
     // runs ~1.3–2× the naive fill estimate (two trees interleave their
     // lanes on shared NICs, and the allreduce's turn-around couples the
-    // phases); priced at 1.5× — the SAFETY margin absorbs the spread.
+    // phases); priced at 1.5×.
     const FILL_PENALTY: f64 = 1.5;
-    let mut best = 0u64;
-    for shift in 10..=40u32 {
-        let s = 1u64 << shift;
-        if s > ac.mid_max_bytes {
-            break;
-        }
-        // Per-rail tree payload; each tree carries half of it.
-        let half = s as f64 / (2.0 * nrings_f);
-        let cw = half.min(dbt_chunk);
-        let fill = phases * (tree_depth * (t.step_us + lat + cw / bw) + chain * (t.step_us + lat));
-        // The busiest NIC (an interior-tree leader, which also carries
-        // its leaf-tree half) serialises `wire_mult` rail slices.
-        let bandwidth = wire_mult * s as f64 / (nrings_f * bw);
-        let t_dbt = bandwidth + FILL_PENALTY * fill;
-        let t_ring = ring::model_time_us(platform, op, n, nrings, ring_chunk, s as f64);
-        if t_dbt * SAFETY <= t_ring {
-            best = s;
-        } else {
-            break;
-        }
-    }
-    best
-}
-
-/// One chunk transfer over one tree edge.
-struct Send {
-    res: ResourceId,
-    lane: u32,
-    bytes: u64,
-    /// Link efficiency at this edge (intra-node fabric or NIC share).
-    eff: f64,
-    /// Sends whose *arrival* enables this one: the same chunk from the
-    /// block's own chain plus both child leaders (climbing), or from
-    /// the parent leader / the previous chain hop (descending).
-    deps: [Option<u32>; 3],
+    // Per-rail tree payload; each tree carries half of it.
+    let half = s / (2.0 * nrings_f);
+    let cw = half.min(chunk_bytes.max(1) as f64);
+    let fill =
+        phases * (tree_depth * (t.step_us + lat + cw / bw) + chain * (t.step_us + chain_lat));
+    let bandwidth = match op {
+        XcclOp::AllReduce { .. } => 2.0 * s / (nrings_f * bw),
+        XcclOp::Broadcast { .. } => (2.0 / nrings_f).max(1.0) * s / bw,
+        _ => s / (nrings_f * bw),
+    };
+    Some(bandwidth + FILL_PENALTY * fill)
 }
 
 /// Execute the double-binary-tree schedule in the calling task's
@@ -273,8 +238,7 @@ pub(crate) fn execute(
     const CHAIN_DOWN: usize = 1;
     const TREE_UP: usize = 2;
     const TREE_DOWN: usize = 3;
-    let nlanes = rails.len() * 2 * 4 * n;
-    let mut sends: Vec<Send> = Vec::new();
+    let mut sched = drive::Schedule::new(rails.len() * 2 * 4 * n);
     for (ri, rail) in rails.iter().enumerate() {
         let (_, slen) = slices[ri];
         if slen == 0 {
@@ -338,6 +302,14 @@ pub(crate) fn execute(
             let nchunks = hlen.div_ceil(chunk_bytes);
             for c in 0..nchunks {
                 let cb = chunk_bytes.min(hlen - c * chunk_bytes);
+                // One chunk send from `src` to `dst`, enabled by the
+                // arrival of `deps`: the same chunk from the block's own
+                // chain plus both child leaders (climbing), or from the
+                // parent leader / the previous chain hop (descending).
+                let mut send = |src: usize, dst: usize, lane: u32, deps: [Option<u32>; 3]| {
+                    let (res, eff) = edge(src, dst);
+                    sched.push(res, lane, cb, eff, flow, deps.into_iter().flatten())
+                };
                 // Reduce: each block chains its members' contributions
                 // into the leader, then leaders climb the tree once both
                 // child leaders' copies of this chunk have arrived.
@@ -348,16 +320,8 @@ pub(crate) fn execute(
                         let m = blk(b);
                         let mut prev = None;
                         for k in (1..m.len()).rev() {
-                            let (res, eff) = edge(m[k], m[k - 1]);
-                            let idx = sends.len() as u32;
-                            sends.push(Send {
-                                res,
-                                lane: lane_of(m[k], CHAIN_UP),
-                                bytes: cb,
-                                eff,
-                                deps: [prev, None, None],
-                            });
-                            prev = Some(idx);
+                            let lane = lane_of(m[k], CHAIN_UP);
+                            prev = Some(send(m[k], m[k - 1], lane, [prev, None, None]));
                         }
                         *done = prev;
                     }
@@ -370,15 +334,8 @@ pub(crate) fn execute(
                             deps[i + 1] = up_idx[cb_];
                         }
                         let p = tree.parent[b].unwrap();
-                        let (res, eff) = edge(blk(b)[0], blk(p)[0]);
-                        up_idx[b] = Some(sends.len() as u32);
-                        sends.push(Send {
-                            res,
-                            lane: lane_of(blk(b)[0], TREE_UP),
-                            bytes: cb,
-                            eff,
-                            deps,
-                        });
+                        let lane = lane_of(blk(b)[0], TREE_UP);
+                        up_idx[b] = Some(send(blk(b)[0], blk(p)[0], lane, deps));
                     }
                 }
                 // Broadcast: the root leader's sends wait for this
@@ -398,15 +355,8 @@ pub(crate) fn execute(
                         for &cb_ in &tree.children[b] {
                             let deps =
                                 if b == tree.root { root_deps } else { [down_recv[b], None, None] };
-                            let (res, eff) = edge(blk(b)[0], blk(cb_)[0]);
-                            down_recv[cb_] = Some(sends.len() as u32);
-                            sends.push(Send {
-                                res,
-                                lane: lane_of(blk(cb_)[0], TREE_DOWN),
-                                bytes: cb,
-                                eff,
-                                deps,
-                            });
+                            let lane = lane_of(blk(cb_)[0], TREE_DOWN);
+                            down_recv[cb_] = Some(send(blk(b)[0], blk(cb_)[0], lane, deps));
                         }
                         let m = blk(b);
                         let mut prev = down_recv[b];
@@ -416,60 +366,21 @@ pub(crate) fn execute(
                             } else {
                                 [prev, None, None]
                             };
-                            let (res, eff) = edge(m[k - 1], m[k]);
-                            let idx = sends.len() as u32;
-                            sends.push(Send {
-                                res,
-                                lane: lane_of(m[k - 1], CHAIN_DOWN),
-                                bytes: cb,
-                                eff,
-                                deps,
-                            });
-                            prev = Some(idx);
+                            prev = Some(send(m[k - 1], m[k], lane_of(m[k - 1], CHAIN_DOWN), deps));
                         }
                     }
                 }
             }
         }
     }
-    if sends.is_empty() {
-        return ctx.now();
-    }
-
-    // ---- per-edge FIFO lanes (generation order is already FIFO) ----
-    let mut lanes: Vec<Vec<u32>> = vec![Vec::new(); nlanes];
-    for (i, s) in sends.iter().enumerate() {
-        lanes[s.lane as usize].push(i as u32);
-    }
-
-    // ---- progress loop (shared with the ring engine) ----
-    let issues: Vec<drive::ChunkSend> = sends
-        .iter()
-        .map(|s| drive::ChunkSend {
-            res: s.res,
-            lane: s.lane,
-            wire: ((s.bytes as f64 / s.eff).ceil() as u64).max(1),
-            flow,
-        })
-        .collect();
-    let mut deps = drive::DepTable::with_capacity(sends.len(), 2 * sends.len());
-    for s in &sends {
-        deps.push_row(s.deps.iter().flatten().copied());
-    }
-    let step = Dur::micros(t.step_us);
-    if drive::fast_path_ok(ctx) {
-        drive::drive_schedule_fast(ctx, &issues, &lanes, cfg.max_inflight, step, &deps);
-    } else {
-        drive::drive_schedule(ctx, &issues, &lanes, cfg.max_inflight, step, &deps);
-    }
-    // Receive-side processing of the final chunk.
-    ctx.delay(Dur::micros(t.step_us));
-    ctx.now()
+    sched.run(ctx, cfg.max_inflight, t.step_us)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::price::{last_pick, Shape};
+    use crate::{AutoConfig, CollEngine};
     use diomp_fabric::ReduceOp;
 
     /// Walk up from `v`; returns the hop count to the root (panics on a
@@ -524,6 +435,18 @@ mod tests {
         }
     }
 
+    /// The DBT regime's upper boundary (0 when `Auto` never runs it).
+    fn crossover_bytes(
+        p: &PlatformSpec,
+        op: &XcclOp,
+        n: usize,
+        nrings: usize,
+        ac: &AutoConfig,
+    ) -> u64 {
+        let shape = Shape { n, nrings, servers: None };
+        last_pick(p, &shape, ac, op, |e| matches!(e, CollEngine::Dbt(_)))
+    }
+
     #[test]
     fn crossover_is_zero_for_allgather_and_tiny_comms() {
         let p = PlatformSpec::platform_a();
@@ -534,31 +457,23 @@ mod tests {
 
     #[test]
     fn allreduce_mid_band_is_nonempty_at_paper_scale() {
-        // The tentpole's reason to exist: at the Fig. 6 device counts the
-        // DBT band must extend beyond the LL crossover on every platform,
-        // so Auto has a genuine third regime for allreduce.
-        for (p, n, nrings) in [
-            (PlatformSpec::platform_a(), 64usize, 4usize),
-            (PlatformSpec::platform_b(), 64, 4),
-            (PlatformSpec::platform_c(), 16, 1),
-        ] {
+        // The engine's reason to exist: Auto must have a genuine DBT
+        // band for allreduce above the LL/tree band — at Fig. 6 scale on
+        // A (64 GPUs, 4 rails), and at the 4096-rank scale sweep on C,
+        // where the ring's 2(n−1) steps lose to the tree's logarithmic
+        // depth up to hundreds of MiB. (On B, LL/tree wins every size —
+        // see `ll::tests`; at 16 GPUs on C the band between LL/tree and
+        // the ring is empty.)
+        for (p, n, nrings) in
+            [(PlatformSpec::platform_a(), 64usize, 4usize), (PlatformSpec::platform_c(), 4096, 1)]
+        {
             let ac = AutoConfig::for_platform(&p);
             let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
-            let ll = crate::ll::crossover_bytes(&p, &op, n, nrings, &ac);
+            let shape = Shape { n, nrings, servers: None };
+            let ll = last_pick(&p, &shape, &ac, &op, |e| matches!(e, CollEngine::LlTree(_)));
             let dbt = crossover_bytes(&p, &op, n, nrings, &ac);
             assert!(dbt > ll, "{}: DBT cut {dbt} must extend past the LL cut {ll}", p.name);
-            // The predicted band is deliberately conservative (a missed
-            // win is cheaper than a regression): it spans at least
-            // 256 KiB–512 KiB everywhere — on B the real band also ends
-            // there (its calibrated link efficiency starves ring and
-            // tree alike, so only latency overhead is saveable) — and
-            // reaches the Fig. 6 1 MiB cell on A. The engine-level wins
-            // at 1 MiB on A and C are sim-asserted in bench_gate's
-            // DBT-vs-ring rows.
-            assert!(dbt >= 512 << 10, "{}: mid band should reach 512 KiB, got {dbt}", p.name);
-            if p.id == diomp_sim::PlatformId::A {
-                assert!(dbt >= 1 << 20, "A's mid band should reach 1 MiB, got {dbt}");
-            }
+            assert!(dbt >= 4 << 20, "{}: mid band should reach 4 MiB, got {dbt}", p.name);
         }
     }
 
@@ -567,12 +482,12 @@ mod tests {
         // Mid-band counterpart of the PR 5 headline bugfix regression:
         // cheapening the live ring (tiny chunks cap its per-step wire
         // term) must shrink the band the DBT is predicted to win.
-        let p = PlatformSpec::platform_c();
+        let p = PlatformSpec::platform_a();
         let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
         let mut ac = AutoConfig::for_platform(&p);
-        let tuned = crossover_bytes(&p, &op, 16, 1, &ac);
+        let tuned = crossover_bytes(&p, &op, 64, 4, &ac);
         ac.ring_allred = RingConfig { chunk_bytes: 512, max_inflight: 2 };
-        let tiny = crossover_bytes(&p, &op, 16, 1, &ac);
+        let tiny = crossover_bytes(&p, &op, 64, 4, &ac);
         assert!(tiny < tuned, "DBT cut must move with the live ring chunk: {tiny} vs {tuned}");
     }
 }

@@ -100,6 +100,63 @@ impl BitSet {
     }
 }
 
+/// A chunk schedule under construction, in generation order — which is
+/// also each lane's FIFO issue order for the engines that build through
+/// it (the DBT and reduction-server engines).
+pub(crate) struct Schedule {
+    sends: Vec<ChunkSend>,
+    deps: DepTable,
+    nlanes: usize,
+}
+
+impl Schedule {
+    /// An empty schedule over `nlanes` lanes.
+    pub(crate) fn new(nlanes: usize) -> Self {
+        Schedule { sends: Vec::new(), deps: DepTable::with_capacity(0, 0), nlanes }
+    }
+
+    /// Append a chunk of `bytes` payload on `res` (at link efficiency
+    /// `eff`) in `lane`, charged to `flow` and enabled by the arrival of
+    /// `deps`; returns its send index.
+    pub(crate) fn push(
+        &mut self,
+        res: ResourceId,
+        lane: u32,
+        bytes: u64,
+        eff: f64,
+        flow: FlowId,
+        deps: impl IntoIterator<Item = u32>,
+    ) -> u32 {
+        self.deps.push_row(deps);
+        let wire = ((bytes as f64 / eff).ceil() as u64).max(1);
+        self.sends.push(ChunkSend { res, lane, wire, flow });
+        (self.sends.len() - 1) as u32
+    }
+
+    /// Drive the schedule to completion — coalesced when the run allows
+    /// it ([`fast_path_ok`]), explicit otherwise — with `window` chunks
+    /// in flight per lane and `step_us` of per-chunk processing, plus the
+    /// receive-side processing of the final chunk. Returns the
+    /// completion instant.
+    pub(crate) fn run(self, ctx: &mut Ctx, window: usize, step_us: f64) -> SimTime {
+        if self.sends.is_empty() {
+            return ctx.now();
+        }
+        let mut lanes: Vec<Vec<u32>> = vec![Vec::new(); self.nlanes];
+        for (i, s) in self.sends.iter().enumerate() {
+            lanes[s.lane as usize].push(i as u32);
+        }
+        let step = Dur::micros(step_us);
+        if fast_path_ok(ctx) {
+            drive_schedule_fast(ctx, &self.sends, &lanes, window, step, &self.deps);
+        } else {
+            drive_schedule(ctx, &self.sends, &lanes, window, step, &self.deps);
+        }
+        ctx.delay(step);
+        ctx.now()
+    }
+}
+
 /// Should a collective schedule take the event-free coalesced driver?
 ///
 /// Armed contention forces the explicit driver: the weighted-fair

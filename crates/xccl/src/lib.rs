@@ -15,24 +15,29 @@
 //!   Fig. 6 curves then emerge from protocol structure; only launch /
 //!   per-step / link-efficiency scalars come from the calibrated
 //!   [`diomp_sim::CollProfile`] tables,
-//! * [`CollEngine::Auto`] layers NCCL's protocol selection on top as a
-//!   **four-regime dispatcher**, every boundary priced per
-//!   (platform, op, device count) from the same tables against the
-//!   live ring configuration: small messages run as LL-style fused
-//!   payload+flag eager sends over binomial trees (`⌈log2 n⌉` rounds —
-//!   the small-size latency dips of Fig. 6; [`crossover_bytes`]); the
-//!   allreduce mid band runs a chunk-pipelined **double binary tree**
-//!   ([`CollEngine::Dbt`], two complementary node-block trees each
-//!   moving half the payload through per-node chain leaders —
-//!   logarithmic depth at the ring's per-NIC wire load;
-//!   [`dbt_crossover_bytes`]); larger payloads — and all-gather, which
-//!   has no latency-bound regime — fall back to the table-tuned ring
-//!   ([`RingConfig::auto`]) unchanged, unless the communicator carries
-//!   dedicated **reduction servers** ([`CommOpts::servers`],
-//!   [`CollEngine::ReductionServer`]): above
-//!   [`rserver_crossover_bytes`] the allreduce offloads onto the server
-//!   ranks — each client NIC moves every byte once instead of
-//!   `2(n−1)/n` times, and the fold leaves the client ranks entirely.
+//! * [`CollEngine::Auto`] layers NCCL's protocol selection on top as
+//!   **one pricing model**: per call, every candidate engine's closed
+//!   form is priced from the same calibrated tables against the live
+//!   communicator layout and fabric health, and `Auto` runs the argmin
+//!   (with one margin in favour of the ring;
+//!   [`XcclComm::auto_choice`] names the pick). The candidates are
+//!   LL-style fused payload+flag eager sends over binomial trees
+//!   ([`CollEngine::LlTree`], `⌈log2 n⌉` rounds — the small-size
+//!   latency dips of Fig. 6); the chunk-pipelined **double binary
+//!   tree** ([`CollEngine::Dbt`], two complementary node-block trees
+//!   each moving half the payload through per-node chain leaders —
+//!   logarithmic depth at the ring's per-NIC wire load); the
+//!   table-tuned ring ([`RingConfig::auto`]), the only engine for
+//!   all-gather, which has no latency-bound regime; and, on
+//!   communicators carrying dedicated **reduction servers**
+//!   ([`CommOpts::servers`], [`CollEngine::ReductionServer`]), the
+//!   allreduce offload onto the server ranks — each client NIC moves
+//!   every byte once instead of `2(n−1)/n` times, and the fold leaves
+//!   the client ranks entirely.
+//! * every rank of one communicator shares one layout (node-major
+//!   order, rails after the health filter, server carve, rendezvous
+//!   gate), built once per [`UniqueId`] by the first rank to
+//!   initialise; each rank keeps only its own QoS flows.
 //!
 //! Collective calls are rank-collective: every participating rank calls
 //! the same operation in the same order; the data results are computed on
@@ -52,10 +57,10 @@
 //!
 //! What happens inside one allreduce under [`CollEngine::Ring`]:
 //!
-//! 1. **Rail construction** (at [`XcclComm::init`]): devices are laid
-//!    out node-major; rail *r* rotates each node's block left by *r*, so
-//!    every rail exits a node on a different device — and therefore a
-//!    different NIC. `nrings = min(nics_per_node, devs_per_node)` rails
+//! 1. **Rail construction** (once per communicator, at the first
+//!    [`XcclComm::init`]): devices are laid out node-major; rail *r*
+//!    rotates each node's block left by *r*, so every rail exits a node
+//!    on a different device — and therefore a different NIC. `nrings = min(nics_per_node, devs_per_node)` rails
 //!    split the payload and aggregate NIC bandwidth, as NCCL does.
 //! 2. **Gate**: every participating rank calls
 //!    [`XcclComm::collective`]; a rendezvous gate collects each rank's
@@ -137,22 +142,19 @@ mod drive;
 mod gate;
 mod ll;
 mod ops;
+mod price;
 mod ring;
 mod rserver;
 mod tree;
 mod unique_id;
 
-pub use comm::{CommOpts, RailPolicy, RingInfo, XcclComm};
-pub use dbt::crossover_bytes as dbt_crossover_bytes;
+pub use comm::{CommOpts, RingInfo, XcclComm};
 pub use gate::CollAbort;
 pub use gate::DeviceBuf;
-pub use ll::{crossover_bytes, AutoConfig};
+pub use ll::AutoConfig;
 pub use ops::XcclOp;
 pub use ring::{default_nrings, CollEngine, RingConfig};
-pub use rserver::{
-    crossover_bytes as rserver_crossover_bytes, model_time_us as rserver_model_time_us,
-    ServerLayout, ServerPlacement, ServerSpec,
-};
+pub use rserver::ServerSpec;
 pub use unique_id::UniqueId;
 
 pub use diomp_sim::QosClass;

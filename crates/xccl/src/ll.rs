@@ -19,11 +19,9 @@
 //! contention with concurrent traffic still apply — the schedule is
 //! closed-form per hop but the resources are shared.
 //!
-//! [`crossover_bytes`] is the dispatch rule of [`CollEngine::Auto`]: it
-//! prices both protocols from the same platform tables the engines use
-//! and returns the largest size at which the LL/tree path still wins
-//! with a safety margin; above it, `Auto` falls back to the ring
-//! unchanged.
+//! [`model_time_us`] is this engine's term in the one pricing model
+//! [`CollEngine::Auto`] takes its argmin over
+//! ([`crate::price::price_us`]).
 //!
 //! [`CollEngine::Auto`]: crate::CollEngine::Auto
 
@@ -34,16 +32,10 @@ use crate::ops::XcclOp;
 use crate::ring::{self, RingConfig};
 use crate::tree;
 
-/// Require the modelled fast-path time to beat the modelled ring time
-/// by this factor before a protocol switch is chosen: the closed forms
-/// are estimates, and a missed win is cheaper than a regression above
-/// the crossover. Shared by the LL and DBT crossovers so both
-/// boundaries are priced with the same conservatism.
-pub(crate) const SAFETY: f64 = 1.25;
-
 /// Configuration of the [`CollEngine::Auto`](crate::CollEngine::Auto)
-/// engine: the small-message fast path, the mid-band double-binary-tree
-/// band, and the ring fallback.
+/// engine: the LL/tree transport costs and the live per-op ring
+/// chunking every chunk-pipelined candidate (ring, double binary tree,
+/// reduction server) runs on.
 ///
 /// Constructed by the transport autotuner (`diomp-core`'s `Tuner`
 /// derives the LL hop cost and the tuned ring configs from the active
@@ -51,15 +43,14 @@ pub(crate) const SAFETY: f64 = 1.25;
 /// GASNet-EX-based derivation when only the platform is known.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AutoConfig {
-    /// Ring engine used above the crossovers for broadcast-shaped ops
-    /// (broadcast, and all-gather — which has no latency-bound regime;
-    /// every byte must travel anyway). This is the *live* ring the
-    /// dispatcher falls back to, and the one both crossover closed
-    /// forms price against — the two may never diverge (the pre-PR 5
-    /// bug priced the switch against `RingConfig::default()` even when
-    /// the engine ran a custom ring).
+    /// Chunking for broadcast-shaped ops (broadcast, and all-gather —
+    /// which has no latency-bound regime; every byte must travel
+    /// anyway). This is the *live* config the chosen engine runs on and
+    /// the one its closed form is priced with — the two may never
+    /// diverge (the pre-PR 5 bug priced the switch against
+    /// `RingConfig::default()` even when the engine ran a custom ring).
     pub ring_bcast: RingConfig,
-    /// Ring engine used above the crossovers for allreduce-shaped ops
+    /// Chunking for allreduce-shaped ops
     /// (allreduce, reduce) — tuned separately because the per-step
     /// processing cost of a reduction differs from a copy in the
     /// platform tables.
@@ -74,15 +65,6 @@ pub struct AutoConfig {
     /// conduit tables as the hop cost, so a GPI-2-tuned engine prices
     /// its wire term with GPI-2's efficiency, not GASNet's.
     pub wire_eff_milli: u16,
-    /// Hard ceiling on the LL/tree fast path regardless of what the
-    /// model says — a guardrail keeping `Auto` conservative where the
-    /// closed forms are least trustworthy.
-    pub small_max_bytes: u64,
-    /// Hard ceiling on the double-binary-tree mid band (the upper
-    /// regime boundary can never exceed it). `0` disables the mid band
-    /// entirely — `Auto` then degenerates to the two-regime LL/ring
-    /// dispatcher.
-    pub mid_max_bytes: u64,
 }
 
 impl AutoConfig {
@@ -107,8 +89,8 @@ impl AutoConfig {
     /// will fall back to — the single place the fixed-point conversions
     /// live, shared by [`Self::for_platform`] and the core `Tuner`'s
     /// per-conduit derivation. Threading the rings through here is what
-    /// keeps the crossover pricing honest: the closed forms price the
-    /// switch against exactly the ring that runs above it.
+    /// keeps the pricing honest: the closed forms price exactly the
+    /// chunking the chosen engine runs on.
     pub fn for_conduit(
         op_overhead_us: f64,
         wire_eff: f64,
@@ -133,18 +115,11 @@ impl AutoConfig {
             // time (the pre-PR 5 clamp lived in `wire_eff()` and masked
             // misconfigured conduits).
             wire_eff_milli: (wire_eff * 1000.0).round().clamp(1.0, 1000.0) as u16,
-            // LL fused sends eagerly push the *whole* payload per hop:
-            // a genuinely small-message regime. The pre-PR 5 1 MiB
-            // ceiling was generous because the only alternative was the
-            // ring; with the DBT covering the mid band, the LL guardrail
-            // retreats to a faithful small-message bound.
-            small_max_bytes: 256 << 10,
-            mid_max_bytes: 8 << 20,
         }
     }
 
-    /// The live ring configuration the dispatcher falls back to for
-    /// `op` — per op class, because the platform tables price a
+    /// The live ring configuration the chunk-pipelined engines run `op`
+    /// on — per op class, because the platform tables price a
     /// reduction step differently from a copy step.
     pub fn ring_for(&self, op: &XcclOp) -> RingConfig {
         match op {
@@ -162,56 +137,28 @@ impl AutoConfig {
     }
 }
 
-/// The size below which [`CollEngine::Auto`](crate::CollEngine::Auto)
-/// takes the LL/tree fast path for `op` on `n` devices (`nrings` ring
-/// rails on the fallback), in bytes. `0` means the ring always wins
-/// (notably: all-gather, and single-device communicators).
-///
-/// Both sides are priced from the platform tables: the tree side pays
-/// `⌈log2 n⌉` (doubled for allreduce: reduce + broadcast) rounds of
-/// fused-send overhead + wire latency + payload at the conduit's
-/// asymptotic single-message bandwidth; the ring side pays its full
-/// step count at the ring engine's calibrated per-step cost plus
-/// chunk-pipelined wire time on the rail bandwidth. The crossover is
-/// the largest power-of-two size where the tree estimate, inflated by a
-/// 25 % safety margin, still undercuts the ring estimate.
-pub fn crossover_bytes(
+/// Closed-form estimate of the LL/tree schedule's completion time for
+/// an `s`-byte `op` on `n` devices, in µs — the LL term of
+/// [`crate::price::price_us`]. The tree pays `⌈log2 n⌉` rounds (doubled
+/// for allreduce: reduce + broadcast) of fused-send overhead + wire
+/// latency + the whole payload at the conduit's asymptotic
+/// single-message bandwidth.
+pub(crate) fn model_time_us(
     platform: &PlatformSpec,
     op: &XcclOp,
     n: usize,
-    nrings: usize,
     ac: &AutoConfig,
-) -> u64 {
-    if n < 2 || matches!(op, XcclOp::AllGather) {
-        return 0;
-    }
+    s: f64,
+) -> f64 {
     let rounds = tree::rounds(n) as f64;
-    let small_hops = match op {
+    let hops = match op {
         XcclOp::AllReduce { .. } => 2.0 * rounds,
         _ => rounds,
     };
     let ll_hop_us = ac.ll_hop_ns as f64 / 1000.0;
-    let lat = platform.net.latency_us;
     // One fused message per hop at the tuned conduit's achieved rate.
     let ll_bw = platform.net.nic_gbps * ac.wire_eff() * 1e3; // B/µs
-    let ring_chunk = ac.ring_for(op).chunk_bytes;
-    let mut best = 0u64;
-    for shift in 10..=40u32 {
-        let s = 1u64 << shift;
-        if s > ac.small_max_bytes {
-            break;
-        }
-        let t_small = small_hops * (ll_hop_us + lat + s as f64 / ll_bw);
-        // Ring side: the shared closed form both crossovers price
-        // against, on the live ring chunking.
-        let t_ring = ring::model_time_us(platform, op, n, nrings, ring_chunk, s as f64);
-        if t_small * SAFETY <= t_ring {
-            best = s;
-        } else {
-            break;
-        }
-    }
-    best
+    hops * (ll_hop_us + platform.net.latency_us + s / ll_bw)
 }
 
 /// Execute the LL/tree schedule for a small collective and return the
@@ -298,7 +245,21 @@ pub(crate) fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::price::{choices, last_pick, Shape};
+    use crate::CollEngine;
     use diomp_fabric::ReduceOp;
+
+    /// The LL/tree regime's upper boundary (0 when `Auto` never runs it).
+    fn crossover_bytes(
+        p: &PlatformSpec,
+        op: &XcclOp,
+        n: usize,
+        nrings: usize,
+        ac: &AutoConfig,
+    ) -> u64 {
+        let shape = Shape { n, nrings, servers: None };
+        last_pick(p, &shape, ac, op, |e| matches!(e, CollEngine::LlTree(_)))
+    }
 
     #[test]
     fn crossover_is_zero_for_allgather_and_tiny_comms() {
@@ -310,8 +271,14 @@ mod tests {
 
     #[test]
     fn crossovers_are_positive_and_bounded_at_paper_scale() {
-        // At the Fig. 6 device counts the tree must win somewhere below
-        // the guardrail on every platform, for both measured ops.
+        // At the Fig. 6 device counts the tree protocols (LL/tree or the
+        // double binary tree) must own the small sizes on every
+        // platform, for both measured ops, and the LL/tree path must
+        // lose the bandwidth race well before the top of the grid — on
+        // A and C. B's allreduce is the documented exception: its ring
+        // runs on the calibrated RCCL curve, far below the wire rate the
+        // LL path is priced (and simulated) at, so LL/tree wins there at
+        // every size.
         for (p, n, nrings) in [
             (PlatformSpec::platform_a(), 64usize, 4usize),
             (PlatformSpec::platform_b(), 64, 4),
@@ -319,10 +286,20 @@ mod tests {
         ] {
             let ac = AutoConfig::for_platform(&p);
             for op in [XcclOp::Broadcast { root: 0 }, XcclOp::AllReduce { op: ReduceOp::SumF32 }] {
+                let shape = Shape { n, nrings, servers: None };
+                for (s, e) in choices(&p, &shape, &ac, &op) {
+                    assert!(
+                        s > 64 << 10 || !matches!(e, CollEngine::Ring(_)),
+                        "{}: {op:?}@{s} must run a tree protocol, not {e:?}",
+                        p.name
+                    );
+                }
                 let cut = crossover_bytes(&p, &op, n, nrings, &ac);
+                let b_allreduce =
+                    p.id == diomp_sim::PlatformId::B && matches!(op, XcclOp::AllReduce { .. });
                 assert!(
-                    (64 << 10..=ac.small_max_bytes).contains(&cut),
-                    "{}: {op:?} crossover {cut} must cover the small regime",
+                    b_allreduce || cut <= 16 << 20,
+                    "{}: {op:?} LL/tree crossover {cut} must stay below 16 MiB",
                     p.name
                 );
             }
@@ -331,8 +308,8 @@ mod tests {
 
     #[test]
     fn crossover_tracks_the_live_ring_config() {
-        // The PR 5 headline bugfix: the LL↔ring switch point must be
-        // priced against the ring Auto actually falls back to, so
+        // The PR 5 headline bugfix: the LL/tree path must be priced
+        // against the chunking the other engines actually run on, so
         // changing the live ring chunking must move the crossover.
         let p = PlatformSpec::platform_c();
         let op = XcclOp::Broadcast { root: 0 };

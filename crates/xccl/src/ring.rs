@@ -92,8 +92,8 @@ impl RingConfig {
     /// step per in-flight chunk, exactly like the RMA pipeline's
     /// latency-cover derivation. The same tuned configuration drives
     /// the double-binary-tree engine's chunk pipeline (the `dbt` module)
-    /// — both engines share the per-edge grain, so the `Auto`
-    /// dispatcher's mid band and ring fallback run on one live config.
+    /// — both engines share the per-edge grain, so whichever of them
+    /// `Auto` picks runs on one live config.
     pub fn auto(platform: &PlatformSpec, op: &XcclOp, nrings: usize) -> Self {
         let t = tuning_for(platform, op, nrings);
         let edge_gbps = platform.net.nic_gbps * t.inter_eff;
@@ -129,7 +129,7 @@ pub enum CollEngine {
     /// reduce+broadcast half the payload in `⌈log2 n⌉` rounds instead of
     /// the ring's `2(n−1)` serial steps. Exposed as a first-class engine
     /// so benches and tests can pin it; [`CollEngine::Auto`] selects it
-    /// per size. All-gather has no tree schedule and falls back to the
+    /// where it prices cheapest. All-gather has no tree schedule and falls back to the
     /// ring with the same chunking under this engine.
     Dbt(RingConfig),
     /// Chunk-pipelined reduction-server offload (the `rserver` module):
@@ -141,16 +141,24 @@ pub enum CollEngine {
     /// allreduce on a communicator with no live servers — fall back to
     /// the ring with the same chunking.
     ReductionServer(RingConfig),
-    /// Protocol auto-selection (the transport autotuner's engine): a
-    /// four-regime dispatcher priced per (op, size, device count) from
-    /// the platform tables (configured by
-    /// [`AutoConfig`](crate::ll::AutoConfig)). Small collectives run as
-    /// LL-style fused eager sends over binomial trees (the LL engine);
-    /// the mid band runs the double-binary-tree protocol; above the
-    /// upper crossover — and always for all-gather — the configured ring
-    /// takes over, unless the communicator has live reduction servers
-    /// and the payload clears the server crossover, in which case the
-    /// reduction-server schedule takes the top band.
+    /// LL-style fused eager sends over binomial trees (the `ll`
+    /// module): `⌈log2 n⌉` rounds (doubled for allreduce), one
+    /// whole-payload message per tree edge at the conduit's hop cost
+    /// and wire efficiency from the [`AutoConfig`](crate::AutoConfig) —
+    /// the small-message latency protocol. Exposed so the engine
+    /// [`CollEngine::Auto`] picks can always be pinned; all-gather has
+    /// no tree schedule and runs the ring on the config's broadcast
+    /// chunking.
+    LlTree(crate::ll::AutoConfig),
+    /// Protocol auto-selection (the transport autotuner's engine): per
+    /// call, the argmin of one closed-form pricing model over LL/tree,
+    /// DBT, ring and — on communicators with live reduction servers —
+    /// the server schedule, priced from the platform tables scaled by
+    /// the live fabric health, with one margin in favour of the ring
+    /// (configured by [`AutoConfig`](crate::ll::AutoConfig)).
+    /// [`XcclComm::auto_choice`](crate::XcclComm::auto_choice) names
+    /// the engine a call runs, which is then bit-identical to pinning
+    /// it.
     Auto(crate::ll::AutoConfig),
 }
 
@@ -274,10 +282,8 @@ pub(crate) fn tuning_for(platform: &PlatformSpec, op: &XcclOp, nrings: usize) ->
 }
 
 /// Closed-form estimate of the ring engine's completion time for a
-/// payload of `s` bytes under `chunk_bytes` chunking, in µs — the
-/// pricing model both protocol crossovers ([`crate::ll`],
-/// [`crate::dbt`]) compare against, so the switch points track the live
-/// ring configuration.
+/// payload of `s` bytes under `chunk_bytes` chunking, in µs — the ring
+/// term of [`crate::price::price_us`].
 ///
 /// Structure, calibrated against the emergent engine, per op class:
 ///
@@ -288,11 +294,15 @@ pub(crate) fn tuning_for(platform: &PlatformSpec, op: &XcclOp, nrings: usize) ->
 ///   rail traffic (`hops × seg`). The two overlap almost entirely in
 ///   the pipelined schedule, so the estimate is the larger plus a 30 %
 ///   residual of the smaller (fill/drain that cannot overlap).
-/// * **Broadcast / reduce** (one token per rail): the token's own
-///   traversal *is* the critical path — every hop pays step + latency
-///   plus one chunk's wire time, the remainder of the segment drains
-///   once behind it, and the fixed root injects every rail's slice on
-///   its single NIC (the root-bound floor).
+/// * **Broadcast / reduce** (one token per rail; all-gather, which only
+///   the ring runs, is priced the same way):
+///   the token's own traversal *is* the critical path — every hop pays
+///   step + latency, the node-boundary hops one chunk's NIC wire time
+///   (intra-node hops ride the fast GPU fabric), and the remainder of
+///   the segment drains once behind it. Each rail's first hop from the
+///   root stays inside its node and the rails leave the node on
+///   different NICs, so the busiest NIC serialises one rail slice (the
+///   floor).
 pub(crate) fn model_time_us(
     platform: &PlatformSpec,
     op: &XcclOp,
@@ -317,11 +327,14 @@ pub(crate) fn model_time_us(
             lat_chain.max(wire) + 0.3 * lat_chain.min(wire)
         }
         _ => {
-            let hops = (n - 1) as f64;
+            let hops = n - 1;
             let seg = s / nrings_f;
             let cw = seg.min(chunk);
-            let path = hops * (t.step_us + lat + cw / bw) + (seg - chunk).max(0.0) / bw;
-            path.max(s / bw)
+            let nodes = n.div_ceil(platform.gpus_per_node.max(1));
+            let path = hops as f64 * (t.step_us + lat)
+                + hops.min(nodes - 1) as f64 * cw / bw
+                + (seg - chunk).max(0.0) / bw;
+            path.max(seg / bw)
         }
     }
 }

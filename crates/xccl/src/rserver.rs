@@ -53,12 +53,9 @@
 //! ring schedule over the full rails — the engine degrades, it never
 //! hangs.
 //!
-//! [`crossover_bytes`] prices this schedule against the **live** ring
-//! configuration from the same calibrated tables (the PR 5 rule: the
-//! switch point and the fallback may never diverge);
-//! [`CollEngine::Auto`](crate::CollEngine::Auto) uses it as the *fourth*
-//! regime above the double-binary-tree band when the communicator has
-//! live servers.
+//! [`model_time_us`] prices this schedule from the same calibrated
+//! tables as the other engines; [`CollEngine::Auto`](crate::CollEngine::Auto)
+//! takes it into its argmin when the communicator has live servers.
 //!
 //! [`CollEngine::ReductionServer`]: crate::CollEngine::ReductionServer
 
@@ -66,7 +63,6 @@ use diomp_fabric::FabricWorld;
 use diomp_sim::{Ctx, Dur, FlowId, PlatformSpec, ResourceId, SimTime};
 
 use crate::drive;
-use crate::ll::{AutoConfig, SAFETY};
 use crate::ops::XcclOp;
 use crate::ring::{self, Rail, RingConfig};
 
@@ -88,28 +84,17 @@ const STRIPE_CHUNKS: u64 = 4;
 const MIN_GRAIN: u64 = 4 << 10;
 
 /// The emergent schedule's overhead over the pure bandwidth bound, like
-/// the DBT crossover's fill penalty: uploads from many leaders interleave
+/// the DBT model's fill penalty: uploads from many leaders interleave
 /// on each server NIC and the fold turn-around couples the two wire
-/// legs. The shared `SAFETY` margin absorbs the spread.
+/// legs.
 const FILL_PENALTY: f64 = 1.5;
-
-/// Where the dedicated server nodes are carved from the communicator's
-/// node-major ring order.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServerPlacement {
-    /// The last nodes of the ring order (default — keeps client ranks'
-    /// ring positions, and therefore existing rooted-op root indices,
-    /// stable when servers are added).
-    #[default]
-    Tail,
-    /// The first nodes of the ring order.
-    Head,
-}
 
 /// Reduction-server designation for a communicator
 /// ([`CommOpts::servers`](crate::CommOpts)): how many whole nodes of the
-/// communicator are dedicated server nodes, and where they are carved
-/// from. `nodes == 0` (the default) disables the server path entirely —
+/// communicator are dedicated server nodes, carved from the tail of the
+/// node-major ring order (which keeps client ranks' ring positions, and
+/// therefore rooted-op root indices, stable when servers are added).
+/// `nodes == 0` (the default) disables the server path entirely —
 /// the communicator behaves exactly as before this engine existed.
 ///
 /// Servers are designated in node granularity because the win condition
@@ -120,14 +105,12 @@ pub struct ServerSpec {
     /// Number of whole nodes dedicated as reduction servers (capped at
     /// `nodes − 1` so at least one client node remains; 0 disables).
     pub nodes: usize,
-    /// Which end of the node-major order the server nodes come from.
-    pub placement: ServerPlacement,
 }
 
 impl ServerSpec {
     /// Designate `nodes` tail nodes as reduction servers.
     pub fn tail(nodes: usize) -> Self {
-        ServerSpec { nodes, placement: ServerPlacement::Tail }
+        ServerSpec { nodes }
     }
 
     /// Is the server path enabled at all?
@@ -136,10 +119,10 @@ impl ServerSpec {
     }
 }
 
-/// The resolved server set a communicator carries (None when
-/// [`ServerSpec::nodes`] is 0): which nodes are infrastructure, which
-/// devices are live stripe owners, and the dedicated QoS flow their
-/// fan-back traffic is charged to.
+/// The resolved server set a communicator plan carries (None when
+/// [`ServerSpec::nodes`] is 0): which nodes are infrastructure and which
+/// devices are live stripe owners. The dedicated QoS flow their fan-back
+/// traffic is charged to is per rank, on the communicator.
 pub(crate) struct ServerSet {
     /// Node ids carved out as reduction servers — the *membership*
     /// boundary: these nodes' ranks are excluded from allreduce data
@@ -151,35 +134,35 @@ pub(crate) struct ServerSet {
     /// means every server is dead and the schedule falls back to the
     /// ring.
     pub(crate) devs: Vec<usize>,
-    /// Dedicated flow for server fan-back traffic: same QoS weight as
-    /// the owning job (WFQ accounting stays per-job) but separately
-    /// observable in `flow_stats`.
-    pub(crate) flow: FlowId,
 }
 
 /// The NIC-level shape of a server-equipped communicator — the inputs
-/// [`crossover_bytes`] prices the schedule from. Derived live by the
-/// communicator (so dead-server blacklisting re-prices the crossover),
-/// or built explicitly by tests and the autotuner's documented tables.
+/// [`model_time_us`] prices the schedule from. Derived by the
+/// communicator from its live server set (so dead-server blacklisting
+/// re-prices the schedule), or built explicitly by tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServerLayout {
+pub(crate) struct ServerLayout {
     /// Client node blocks (each chain-reduces to a rotated leader).
-    pub client_blocks: usize,
+    pub(crate) client_blocks: usize,
     /// Live server devices — the stripe owners.
-    pub server_devs: usize,
+    pub(crate) server_devs: usize,
     /// Distinct NICs among the live server devices: the fan-back
     /// dimension (`client_blocks · s / server_nics` per server NIC).
-    pub server_nics: usize,
+    pub(crate) server_nics: usize,
     /// Devices per client block (the intra-node chain length).
-    pub chain: usize,
+    pub(crate) chain: usize,
 }
 
+#[cfg(test)]
 impl ServerLayout {
     /// The layout a full-node communicator on `platform` with
     /// `client_nodes + server_nodes` nodes resolves to when every server
-    /// NIC is healthy — what the autotuner's documented tables and the
-    /// bench clusters use.
-    pub fn full_nodes(platform: &PlatformSpec, client_nodes: usize, server_nodes: usize) -> Self {
+    /// NIC is healthy — the bench clusters' shape.
+    pub(crate) fn full_nodes(
+        platform: &PlatformSpec,
+        client_nodes: usize,
+        server_nodes: usize,
+    ) -> Self {
         let gpn = platform.gpus_per_node.max(1);
         ServerLayout {
             client_blocks: client_nodes,
@@ -191,9 +174,9 @@ impl ServerLayout {
 }
 
 /// Closed-form estimate of the reduction-server schedule's completion
-/// time for an `s`-byte allreduce, in µs — same calibrated scalars
-/// (`ring::tuning_for`) as the ring and DBT models, so the fourth
-/// regime is priced from the same tables as the other three.
+/// time for an `s`-byte allreduce, in µs — the reduction-server term of
+/// [`crate::price::price_us`], on the same calibrated scalars
+/// (`ring::tuning_for`) as the ring and DBT models.
 ///
 /// Structure: the two wire legs — `s/nrings` upload per client leader
 /// NIC and `client_blocks·s/server_nics` fan-back per server NIC —
@@ -202,7 +185,7 @@ impl ServerLayout {
 /// overlap rule), plus the pipeline fill: the intra-node chains up and
 /// down, one upload and one fan-back hop carrying a stripe chunk, and
 /// the fold step, inflated by the shared fill penalty.
-pub fn model_time_us(
+pub(crate) fn model_time_us(
     platform: &PlatformSpec,
     op: &XcclOp,
     nrings: usize,
@@ -226,84 +209,12 @@ pub fn model_time_us(
     hi + 0.3 * lo + FILL_PENALTY * fill
 }
 
-/// The size from which
-/// [`CollEngine::Auto`](crate::CollEngine::Auto) hands `op` to the
-/// reduction servers — the *lower* boundary of the fourth regime, in
-/// bytes. `0` means the servers never win (no live servers, too few
-/// NICs for the fan-back to beat the ring's circulation, or a
-/// non-allreduce op — only the symmetric allreduce has a server
-/// schedule).
-///
-/// Both sides are priced from the platform tables on the **live**
-/// ring chunking ([`AutoConfig::ring_for`]) — the PR 5 rule. The
-/// fourth regime is a *top* band, so the crossover is the start of the
-/// winning run that extends to the top of the scan: the smallest
-/// power-of-two size from which the server estimate, inflated by the
-/// shared 25 % safety margin, undercuts the ring estimate at **every**
-/// larger size. A transient small-size latency win that loses the
-/// bandwidth race at scale (the starved-fan-back case) does not open
-/// the band. Because the layout is an argument, the boundary moves
-/// with the live server set: fewer live server NICs → slower fan-back
-/// → a vanished crossover; and the dispatcher clamps an open cut above
-/// the live DBT/ring boundaries, so the comm-level band also moves
-/// with the live ring configuration.
-pub fn crossover_bytes(
-    platform: &PlatformSpec,
-    op: &XcclOp,
-    n: usize,
-    nrings: usize,
-    layout: &ServerLayout,
-    ac: &AutoConfig,
-) -> u64 {
-    if n < 2
-        || layout.server_devs == 0
-        || layout.client_blocks == 0
-        || !matches!(op, XcclOp::AllReduce { .. })
-    {
-        return 0;
-    }
-    let ring_chunk = ac.ring_for(op).chunk_bytes;
-    let mut cut = 0u64;
-    for shift in 10..=40u32 {
-        let s = 1u64 << shift;
-        let t_rsv = model_time_us(platform, op, nrings, layout, ring_chunk, s as f64);
-        let t_ring = ring::model_time_us(platform, op, n, nrings, ring_chunk, s as f64);
-        if t_rsv * SAFETY <= t_ring {
-            if cut == 0 {
-                cut = s;
-            }
-        } else {
-            // A loss anywhere above resets the band: the top band must
-            // win from its boundary all the way up.
-            cut = 0;
-        }
-    }
-    cut
-}
-
-/// One chunk transfer of the server schedule.
-struct Send {
-    res: ResourceId,
-    lane: u32,
-    bytes: u64,
-    /// Link efficiency at this edge (intra-node fabric or NIC share).
-    eff: f64,
-    /// Flow the transfer is charged to: the communicator flow for client
-    /// traffic, the dedicated server flow for fan-back.
-    flow: FlowId,
-    /// Chain predecessor / fan-back arrival enabling this send.
-    dep: Option<u32>,
-    /// Fan-in group (index into the group table): a fan-back send is
-    /// enabled only once *every* client upload of its (stripe, chunk)
-    /// has arrived — the fold's inputs.
-    fanin: Option<u32>,
-}
-
 /// Execute the reduction-server allreduce schedule in the calling task's
 /// context, advancing virtual time to the emergent completion instant.
 /// Mirrors `ring::execute`/`dbt::execute`: per-rail payload slices,
 /// per-edge FIFO lanes, `cfg.max_inflight` chunks outstanding per lane,
-/// completions drained with the batched wait-any.
+/// completions drained with the batched wait-any. Fan-back traffic is
+/// charged to `srv_flow`, the driving rank's dedicated server flow.
 #[allow(clippy::too_many_arguments)] // one arg per schedule dimension; a struct would be ceremony
 pub(crate) fn execute(
     ctx: &mut Ctx,
@@ -311,6 +222,7 @@ pub(crate) fn execute(
     rails: &[Rail],
     flow: FlowId,
     srv: &ServerSet,
+    srv_flow: FlowId,
     op: XcclOp,
     len: u64,
     cfg: RingConfig,
@@ -335,9 +247,7 @@ pub(crate) fn execute(
     const UP: usize = 1;
     const DOWN: usize = 2;
     const CHAIN_DOWN: usize = 3;
-    let nlanes = rails.len() * n * 4;
-    let mut sends: Vec<Send> = Vec::new();
-    let mut fanins: Vec<Vec<u32>> = Vec::new();
+    let mut sched = drive::Schedule::new(rails.len() * n * 4);
     for (ri, rail) in rails.iter().enumerate() {
         let (_, slen) = slices[ri];
         if slen == 0 {
@@ -407,153 +317,91 @@ pub(crate) fn execute(
                 continue;
             }
             let sp = pos[srv.devs[c % ndevs]] as usize;
-            {
-                let group = fanins.len() as u32;
-                fanins.push(Vec::with_capacity(blocks.len()));
-                // Chain up + upload: every client block reduces this
-                // chunk to its leader, which injects it toward the
-                // stripe's owner on its NIC.
-                for m in &blocks {
-                    let mut prev: Option<u32> = None;
-                    for k in (1..m.len()).rev() {
-                        let (res, eff) = edge(m[k], m[k - 1]);
-                        let idx = sends.len() as u32;
-                        sends.push(Send {
-                            res,
-                            lane: lane_of(m[k], CHAIN_UP),
-                            bytes: cb,
-                            eff,
-                            flow,
-                            dep: prev,
-                            fanin: None,
-                        });
-                        prev = Some(idx);
-                    }
-                    let (res, eff) = edge(m[0], sp);
-                    let idx = sends.len() as u32;
-                    sends.push(Send {
-                        res,
-                        lane: lane_of(m[0], UP),
-                        bytes: cb,
-                        eff,
-                        flow,
-                        dep: prev,
-                        fanin: None,
-                    });
-                    fanins[group as usize].push(idx);
+            let mut send = |src: usize, dst: usize, lane: u32, flow: FlowId, deps: &[u32]| {
+                let (res, eff) = edge(src, dst);
+                sched.push(res, lane, cb, eff, flow, deps.iter().copied())
+            };
+            // Chain up + upload: every client block reduces this chunk
+            // to its leader, which injects it toward the stripe's owner
+            // on its NIC.
+            let mut uploads = Vec::with_capacity(blocks.len());
+            for m in &blocks {
+                let mut prev = None;
+                for k in (1..m.len()).rev() {
+                    let lane = lane_of(m[k], CHAIN_UP);
+                    prev = Some(send(m[k], m[k - 1], lane, flow, prev.as_slice()));
                 }
-                // Fold + fan back + chain down: once every block's copy
-                // of this chunk has arrived, the owner issues the
-                // reduced chunk to each leader (paying the fold's step
-                // cost at issue), and leaders chain it through their
-                // blocks.
-                for m in &blocks {
-                    let (res, eff) = edge(sp, m[0]);
-                    let idx = sends.len() as u32;
-                    sends.push(Send {
-                        res,
-                        lane: lane_of(sp, DOWN),
-                        bytes: cb,
-                        eff,
-                        flow: srv.flow,
-                        dep: None,
-                        fanin: Some(group),
-                    });
-                    let mut prev = Some(idx);
-                    for k in 1..m.len() {
-                        let (res, eff) = edge(m[k - 1], m[k]);
-                        let i2 = sends.len() as u32;
-                        sends.push(Send {
-                            res,
-                            lane: lane_of(m[k - 1], CHAIN_DOWN),
-                            bytes: cb,
-                            eff,
-                            flow,
-                            dep: prev,
-                            fanin: None,
-                        });
-                        prev = Some(i2);
-                    }
+                uploads.push(send(m[0], sp, lane_of(m[0], UP), flow, prev.as_slice()));
+            }
+            // Fold + fan back + chain down: once every block's copy of
+            // this chunk has arrived (the fold's inputs), the owner
+            // issues the reduced chunk to each leader on the server flow
+            // (paying the fold's step cost at issue), and leaders chain
+            // it through their blocks.
+            for m in &blocks {
+                let mut prev = send(sp, m[0], lane_of(sp, DOWN), srv_flow, &uploads);
+                for k in 1..m.len() {
+                    prev = send(m[k - 1], m[k], lane_of(m[k - 1], CHAIN_DOWN), flow, &[prev]);
                 }
             }
         }
     }
-    if sends.is_empty() {
-        return ctx.now();
-    }
-
-    // ---- per-edge FIFO lanes (generation order is already FIFO) ----
-    let mut lanes: Vec<Vec<u32>> = vec![Vec::new(); nlanes];
-    for (i, s) in sends.iter().enumerate() {
-        lanes[s.lane as usize].push(i as u32);
-    }
-
-    // ---- progress loop (shared with the ring and DBT engines) ----
-    let issues: Vec<drive::ChunkSend> = sends
-        .iter()
-        .map(|s| drive::ChunkSend {
-            res: s.res,
-            lane: s.lane,
-            wire: ((s.bytes as f64 / s.eff).ceil() as u64).max(1),
-            flow: s.flow,
-        })
-        .collect();
-    // Fan-in groups inline into the CSR rows: a fan-back send's
-    // dependencies are every upload of its stripe group.
-    let mut deps = drive::DepTable::with_capacity(sends.len(), 2 * sends.len());
-    for s in &sends {
-        deps.push_row(
-            s.dep
-                .into_iter()
-                .chain(s.fanin.into_iter().flat_map(|g| fanins[g as usize].iter().copied())),
-        );
-    }
-    let step = Dur::micros(t.step_us);
-    if drive::fast_path_ok(ctx) {
-        drive::drive_schedule_fast(ctx, &issues, &lanes, cfg.max_inflight, step, &deps);
-    } else {
-        drive::drive_schedule(ctx, &issues, &lanes, cfg.max_inflight, step, &deps);
-    }
-    // Receive-side processing of the final chunk.
-    ctx.delay(Dur::micros(t.step_us));
-    ctx.now()
+    sched.run(ctx, cfg.max_inflight, t.step_us)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::price::{choices, price_us, Shape, RING_MARGIN};
+    use crate::{AutoConfig, CollEngine};
     use diomp_fabric::ReduceOp;
 
     fn allred() -> XcclOp {
         XcclOp::AllReduce { op: ReduceOp::SumF32 }
     }
 
+    /// The server regime's lower boundary: the smallest grid size from
+    /// which `Auto` picks the reduction server at *every* larger size
+    /// (0 when the top of the grid does not run it).
+    fn crossover_bytes(
+        p: &PlatformSpec,
+        op: &XcclOp,
+        n: usize,
+        nrings: usize,
+        layout: &ServerLayout,
+    ) -> u64 {
+        let ac = AutoConfig::for_platform(p);
+        let shape = Shape { n, nrings, servers: Some(*layout) };
+        let grid = choices(p, &shape, &ac, op);
+        let top =
+            grid.iter().rev().take_while(|(_, e)| matches!(e, CollEngine::ReductionServer(_)));
+        top.last().map_or(0, |&(s, _)| s)
+    }
+
     #[test]
     fn crossover_is_zero_without_servers_or_for_non_allreduce() {
         let p = PlatformSpec::platform_a();
-        let ac = AutoConfig::for_platform(&p);
         let none = ServerLayout { client_blocks: 8, server_devs: 0, server_nics: 0, chain: 4 };
-        assert_eq!(crossover_bytes(&p, &allred(), 32, 4, &none, &ac), 0);
+        assert_eq!(crossover_bytes(&p, &allred(), 32, 4, &none), 0);
         let live = ServerLayout::full_nodes(&p, 8, 8);
-        assert_eq!(crossover_bytes(&p, &XcclOp::Broadcast { root: 0 }, 64, 4, &live, &ac), 0);
-        assert_eq!(crossover_bytes(&p, &XcclOp::AllGather, 64, 4, &live, &ac), 0);
+        assert_eq!(crossover_bytes(&p, &XcclOp::Broadcast { root: 0 }, 64, 4, &live), 0);
+        assert_eq!(crossover_bytes(&p, &XcclOp::AllGather, 64, 4, &live), 0);
     }
 
     #[test]
     fn provisioned_servers_win_at_large_sizes_on_every_platform() {
         // The bench clusters: client nodes matched by server nodes. The
-        // fourth regime must open at or below 16 MiB — the size the
+        // server regime must open at or below 16 MiB — the size the
         // bench gate hard-asserts the emergent win at.
         for (p, c, s) in [
             (PlatformSpec::platform_a(), 8usize, 8usize),
             (PlatformSpec::platform_b(), 4, 4),
             (PlatformSpec::platform_c(), 8, 8),
         ] {
-            let ac = AutoConfig::for_platform(&p);
             let gpn = p.gpus_per_node;
             let layout = ServerLayout::full_nodes(&p, c, s);
             let nrings = crate::ring::default_nrings(&p);
-            let cut = crossover_bytes(&p, &allred(), (c + s) * gpn, nrings, &layout, &ac);
+            let cut = crossover_bytes(&p, &allred(), (c + s) * gpn, nrings, &layout);
             assert!(
                 cut > 0 && cut <= 16 << 20,
                 "{}: server crossover {cut} must open by 16 MiB",
@@ -568,43 +416,42 @@ mod tests {
         // serialises every client's result and the model must refuse
         // the switch at any size.
         let p = PlatformSpec::platform_a();
-        let ac = AutoConfig::for_platform(&p);
         let layout = ServerLayout::full_nodes(&p, 15, 1);
-        assert_eq!(crossover_bytes(&p, &allred(), 64, 4, &layout, &ac), 0);
+        assert_eq!(crossover_bytes(&p, &allred(), 64, 4, &layout), 0);
     }
 
     #[test]
     fn open_band_never_loses_above_its_boundary() {
-        // The top-band invariant behind the scan rule: wherever the
-        // crossover opens, the modelled server time keeps undercutting
-        // the modelled ring time (with the safety margin) at every
-        // larger power of two — no re-entrant ring band above it.
+        // The top-band invariant: wherever the server regime opens, the
+        // modelled server time keeps undercutting the modelled ring time
+        // (with the ring's margin) at every larger power of two — no
+        // re-entrant ring band above it.
         let p = PlatformSpec::platform_a();
-        let ac = AutoConfig::for_platform(&p);
         let layout = ServerLayout::full_nodes(&p, 8, 8);
-        let chunk = ac.ring_allred.chunk_bytes;
-        let cut = crossover_bytes(&p, &allred(), 64, 4, &layout, &ac);
+        let rc = AutoConfig::for_platform(&p).ring_allred;
+        let shape = Shape { n: 64, nrings: 4, servers: Some(layout) };
+        let cut = crossover_bytes(&p, &allred(), 64, 4, &layout);
         assert!(cut > 0);
         let mut s = cut;
         while s <= 1 << 30 {
-            let t_rsv = model_time_us(&p, &allred(), 4, &layout, chunk, s as f64);
-            let t_ring = ring::model_time_us(&p, &allred(), 64, 4, chunk, s as f64);
-            assert!(t_rsv * SAFETY <= t_ring, "loss inside the open band at {s} bytes");
+            let price = |e: CollEngine| price_us(&p, &shape, &e, &allred(), s).unwrap();
+            let t_rsv = price(CollEngine::ReductionServer(rc));
+            let t_ring = price(CollEngine::Ring(rc));
+            assert!(t_rsv * RING_MARGIN <= t_ring, "loss inside the open band at {s} bytes");
             s *= 2;
         }
     }
 
     #[test]
     fn crossover_tracks_the_live_server_set() {
-        // The other live config: blacklisting server NICs slows the
-        // fan-back, so the crossover must retreat (rise or vanish) as
-        // the live server set shrinks — dead-server re-pricing.
+        // Blacklisting server NICs slows the fan-back, so the crossover
+        // must retreat (rise or vanish) as the live server set shrinks —
+        // dead-server re-pricing.
         let p = PlatformSpec::platform_a();
-        let ac = AutoConfig::for_platform(&p);
         let full = ServerLayout::full_nodes(&p, 8, 8);
-        let cut_full = crossover_bytes(&p, &allred(), 64, 4, &full, &ac);
+        let cut_full = crossover_bytes(&p, &allred(), 64, 4, &full);
         let half = ServerLayout { server_devs: 16, server_nics: 16, ..full };
-        let cut_half = crossover_bytes(&p, &allred(), 64, 4, &half, &ac);
+        let cut_half = crossover_bytes(&p, &allred(), 64, 4, &half);
         assert!(cut_full > 0);
         assert!(
             cut_half > cut_full || cut_half == 0,
@@ -616,7 +463,6 @@ mod tests {
     fn server_spec_defaults_disabled_and_caps_nothing() {
         let d = ServerSpec::default();
         assert!(!d.enabled());
-        assert_eq!(d.placement, ServerPlacement::Tail);
         assert!(ServerSpec::tail(2).enabled());
     }
 }

@@ -17,8 +17,8 @@
 //!   windows never match, leaves the virtual-time trace bit-identical to
 //!   a clean run.
 //! * **Degradation awareness** — dead links blacklist rails at init, and
-//!   a degraded fabric moves the Auto dispatcher's priced regime
-//!   boundaries toward the ring.
+//!   a degraded fabric moves the Auto dispatcher's priced choice toward
+//!   the ring.
 
 use std::sync::Arc;
 
@@ -392,7 +392,7 @@ fn dead_link_blacklists_its_rails_and_the_collective_survives() {
                 CommOpts::default(),
             );
             if r == 0 {
-                *nrings2.lock() = comm.ring.nrings;
+                *nrings2.lock() = comm.ring().nrings;
             }
             let dev = world.primary_dev(r);
             let off = dev.malloc(64, 256).unwrap();
@@ -451,7 +451,7 @@ fn every_rail_dead_keeps_the_full_layout() {
                 UniqueId::from_bits(bits),
                 CommOpts::default(),
             );
-            assert_eq!(comm.ring.nrings, PER_NODE, "nothing to retreat to: keep every rail");
+            assert_eq!(comm.ring().nrings, PER_NODE, "nothing to retreat to: keep every rail");
             let dev = world.primary_dev(r);
             let off = dev.malloc(64, 256).unwrap();
             comm.collective(
@@ -466,47 +466,74 @@ fn every_rail_dead_keeps_the_full_layout() {
     sim.run().unwrap();
 }
 
+/// `Auto`'s choice for a SumF64 allreduce at every power of two from
+/// 1 KiB to 64 MiB, read through `auto_choice` on rank 0's communicator
+/// under the world's live health, ranked by bandwidth efficiency:
+/// LL/tree 0, DBT 1, ring 2.
+fn auto_choices(mut sim: Sim, world: &Arc<FabricWorld>) -> Vec<u8> {
+    let id = UniqueId::generate();
+    let out = Arc::new(Mutex::new(Vec::new()));
+    for r in 0..NRANKS {
+        let world = world.clone();
+        let out = out.clone();
+        sim.spawn(format!("rank{r}"), move |ctx| {
+            let bits = world.bootstrap.exchange(ctx, r, if r == 0 { id.bits() } else { 0 })[0];
+            let comm = XcclComm::init(
+                ctx,
+                &world,
+                (0..NRANKS).collect(),
+                r,
+                UniqueId::from_bits(bits),
+                CommOpts {
+                    engine: CollEngine::Auto(AutoConfig::for_platform(&PlatformSpec::platform_a())),
+                    ..CommOpts::default()
+                },
+            );
+            if r == 0 {
+                let op = XcclOp::AllReduce { op: ReduceOp::SumF64 };
+                *out.lock() = (10..=26)
+                    .map(|k| match comm.auto_choice(&op, 1 << k) {
+                        CollEngine::LlTree(_) => 0,
+                        CollEngine::Dbt(_) => 1,
+                        CollEngine::Ring(_) => 2,
+                        e => panic!("no servers, no {e:?}"),
+                    })
+                    .collect();
+            }
+        });
+    }
+    sim.run().unwrap();
+    let v = out.lock().clone();
+    v
+}
+
+/// Degradation may only move `Auto`'s choice toward the ring: at no size
+/// a less bandwidth-efficient engine than the healthy choice, and at
+/// some size a strictly more efficient one.
+fn assert_moves_toward_the_ring(healthy: &[u8], degraded: &[u8]) {
+    assert!(healthy.contains(&0), "healthy LL regime must be non-trivial: {healthy:?}");
+    assert!(
+        healthy.iter().zip(degraded).all(|(h, d)| d >= h),
+        "degradation must never move a choice away from the ring: {degraded:?} vs {healthy:?}"
+    );
+    assert!(
+        healthy.iter().zip(degraded).any(|(h, d)| d > h),
+        "a 20× slower wire must move some choice toward the ring: {degraded:?} vs {healthy:?}"
+    );
+}
+
 #[test]
 fn degraded_fabric_moves_auto_regimes_toward_the_ring() {
     // Re-pricing: a fabric degraded to 5 % of nominal bandwidth makes
-    // the wire term dominate both closed forms; the tree regimes' latency
-    // advantage buys relatively less, so both priced boundaries retreat.
-    let cuts = |plan: &FaultPlan| {
-        let mut sim = Sim::new();
+    // the wire term dominate every closed form; the tree protocols'
+    // latency advantage buys relatively less, so the choice moves
+    // toward the bandwidth-optimal ring.
+    let choices = |plan: &FaultPlan| {
+        let sim = Sim::new();
         let world = boot(&sim, plan);
-        let id = UniqueId::generate();
-        let out = Arc::new(Mutex::new((0u64, 0u64, 0u64)));
-        let out2 = out.clone();
-        for r in 0..NRANKS {
-            let world = world.clone();
-            let out2 = out2.clone();
-            sim.spawn(format!("rank{r}"), move |ctx| {
-                let bits = world.bootstrap.exchange(ctx, r, if r == 0 { id.bits() } else { 0 })[0];
-                let comm = XcclComm::init(
-                    ctx,
-                    &world,
-                    (0..NRANKS).collect(),
-                    r,
-                    UniqueId::from_bits(bits),
-                    CommOpts {
-                        engine: CollEngine::Auto(AutoConfig::for_platform(
-                            &PlatformSpec::platform_a(),
-                        )),
-                        ..CommOpts::default()
-                    },
-                );
-                if r == 0 {
-                    *out2.lock() = comm
-                        .auto_regimes(&XcclOp::AllReduce { op: ReduceOp::SumF64 })
-                        .expect("Auto engine has regimes");
-                }
-            });
-        }
-        sim.run().unwrap();
-        let v = *out.lock();
-        v
+        auto_choices(sim, &world)
     };
-    let healthy = cuts(&FaultPlan::new());
+    let healthy = choices(&FaultPlan::new());
     let probe = Sim::new();
     let world = boot(&probe, &FaultPlan::new());
     let mut plan = FaultPlan::new();
@@ -514,16 +541,7 @@ fn degraded_fabric_moves_auto_regimes_toward_the_ring() {
         plan = plan.degrade_link(world.devs.dev(f).nic, SimTime::ZERO, SimTime(u64::MAX), 50);
     }
     drop(probe);
-    let degraded = cuts(&plan);
-    assert!(healthy.0 > 0, "healthy LL regime must be non-trivial: {healthy:?}");
-    assert!(
-        degraded.0 <= healthy.0 && degraded.1 <= healthy.1,
-        "degradation must never extend a priced tree regime: {degraded:?} vs {healthy:?}"
-    );
-    assert!(
-        degraded.0 < healthy.0,
-        "a 20× slower wire must retreat the LL boundary: {degraded:?} vs {healthy:?}"
-    );
+    assert_moves_toward_the_ring(&healthy, &choices(&plan));
 }
 
 #[test]
@@ -531,10 +549,10 @@ fn faults_armed_after_build_still_reprice_auto_regimes() {
     // The stale-health regression: `gaspi_state_vec` derives *live*
     // from whichever plan is installed when it is read, not from a
     // build-time snapshot — so a degradation armed after the world is
-    // built must move the Auto dispatcher's priced crossovers exactly
-    // like one armed before it.
-    let cuts = |degrade_after_build: bool| {
-        let mut sim = Sim::new();
+    // built must move the Auto dispatcher's choices exactly like one
+    // armed before it.
+    let choices = |degrade_after_build: bool| {
+        let sim = Sim::new();
         let world = boot(&sim, &FaultPlan::new());
         if degrade_after_build {
             let mut plan = FaultPlan::new();
@@ -544,46 +562,9 @@ fn faults_armed_after_build_still_reprice_auto_regimes() {
             }
             sim.set_fault_plan(plan);
         }
-        let id = UniqueId::generate();
-        let out = Arc::new(Mutex::new((0u64, 0u64, 0u64)));
-        let out2 = out.clone();
-        for r in 0..NRANKS {
-            let world = world.clone();
-            let out2 = out2.clone();
-            sim.spawn(format!("rank{r}"), move |ctx| {
-                let bits = world.bootstrap.exchange(ctx, r, if r == 0 { id.bits() } else { 0 })[0];
-                let comm = XcclComm::init(
-                    ctx,
-                    &world,
-                    (0..NRANKS).collect(),
-                    r,
-                    UniqueId::from_bits(bits),
-                    CommOpts {
-                        engine: CollEngine::Auto(AutoConfig::for_platform(
-                            &PlatformSpec::platform_a(),
-                        )),
-                        ..CommOpts::default()
-                    },
-                );
-                if r == 0 {
-                    *out2.lock() = comm
-                        .auto_regimes(&XcclOp::AllReduce { op: ReduceOp::SumF64 })
-                        .expect("Auto engine has regimes");
-                }
-            });
-        }
-        sim.run().unwrap();
-        let v = *out.lock();
-        v
+        auto_choices(sim, &world)
     };
-    let healthy = cuts(false);
-    let late_degraded = cuts(true);
-    assert!(healthy.0 > 0, "healthy LL regime must be non-trivial: {healthy:?}");
-    assert!(
-        late_degraded.0 < healthy.0,
-        "a degradation armed after build must retreat the LL boundary: \
-         {late_degraded:?} vs {healthy:?}"
-    );
+    assert_moves_toward_the_ring(&choices(false), &choices(true));
 }
 
 /// Slot-recycling regression for the elastic path: every

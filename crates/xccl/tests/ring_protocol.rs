@@ -1,16 +1,16 @@
 //! Ring-protocol engine tests (ISSUE 2): data byte-identity against
 //! sequential references across random sizes/dtypes/rank counts, trace
 //! determinism of the emergent schedule, and emergent-vs-profile timing
-//! behaviour. ISSUE 4 adds the `CollEngine::Auto` protocol-selection
-//! tests: the LL/tree fast path must agree byte-for-byte with the other
-//! engines, beat the ring at small sizes, and collapse onto the ring
-//! above the crossover.
+//! behaviour. The `CollEngine::Auto` tests pin the dispatcher to its own
+//! query: whatever `auto_choice` names, running that engine pinned is
+//! bit-identical to the `Auto` call, on every platform, op, size and
+//! fabric health.
 
 use std::sync::Arc;
 
 use diomp_device::{DataMode, DeviceTable};
 use diomp_fabric::{FabricWorld, ReduceOp};
-use diomp_sim::{ClusterSpec, PlatformSpec, Sim, SimTime, Topology};
+use diomp_sim::{ClusterSpec, FaultPlan, PlatformSpec, Sim, SimTime, Topology};
 use diomp_xccl::{
     AutoConfig, CollEngine, CommOpts, DeviceBuf, RingConfig, UniqueId, XcclComm, XcclOp,
 };
@@ -186,53 +186,6 @@ proptest! {
         prop_assert_eq!(ring, prof, "engines must agree on the final buffer bytes");
     }
 
-    /// `CollEngine::Auto` deposits the same bytes as the ring engine on
-    /// arbitrary payloads through *both* of its regimes: with the
-    /// guardrail wide open (every tested size takes the LL/tree path)
-    /// and with it closed (pure ring fallback). SumU64's wrapping sum is
-    /// association-order-independent, so tree-order and chain-order
-    /// reductions must agree bit-for-bit.
-    #[test]
-    fn auto_engine_matches_ring_in_both_regimes(
-        nranks in 2usize..9,
-        len in 8usize..2048,
-        kind in 0u8..4,
-        small_max in prop_oneof![Just(0u64), Just(u64::MAX)],
-    ) {
-        let run = |engine: CollEngine| {
-            let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
-            let out2 = out.clone();
-            with_engine(nranks, engine, false, move |ctx, world, comm, r| {
-                let n = world.nranks;
-                let dev = world.primary_dev(r);
-                let cap = (len * n).next_power_of_two().max(64) as u64;
-                let off = dev.malloc(cap, 256).unwrap();
-                let bytes: Vec<u8> =
-                    (0..len * n).map(|i| (r * 31 + i * 7) as u8).collect();
-                dev.mem.write(off, &bytes).unwrap();
-                let op = match kind {
-                    0 => XcclOp::AllReduce { op: ReduceOp::SumU64 },
-                    1 => XcclOp::Broadcast { root: 1 % n },
-                    2 => XcclOp::AllGather,
-                    _ => XcclOp::Reduce { root: 1 % n, op: ReduceOp::SumU64 },
-                };
-                let payload = if kind == 2 { len as u64 } else { (len / 8 * 8).max(8) as u64 };
-                comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, payload);
-                let mut got = vec![0u8; len * n];
-                dev.mem.read(off, &mut got).unwrap();
-                out2.lock().push((r, got));
-            });
-            let mut rows = out.lock().clone();
-            rows.sort_by_key(|&(r, _)| r);
-            rows
-        };
-        let mut ac = AutoConfig::for_platform(&PlatformSpec::platform_a());
-        ac.small_max_bytes = small_max;
-        let auto = run(CollEngine::Auto(ac));
-        let ring = run(CollEngine::default());
-        prop_assert_eq!(auto, ring, "auto must agree with the ring engine's bytes");
-    }
-
     /// The double-binary-tree engine's reduction semantics are
     /// byte-identical to the *sequential reference* association for
     /// every dtype — including floats, where association order matters:
@@ -382,38 +335,6 @@ fn timed_collective(engine: CollEngine, op: XcclOp, len: u64) -> SimTime {
 }
 
 #[test]
-fn auto_beats_ring_at_small_sizes_and_equals_it_at_large() {
-    // The ISSUE 4 acceptance shape at engine level: below the crossover
-    // the LL/tree fast path must finish earlier than the pure ring;
-    // above it, Auto runs the identical (tuned) ring schedule, so the
-    // times exactly equal the ring engine pinned to the same live
-    // config (not merely within tolerance). The mid band is disabled
-    // here (`mid_max_bytes = 0`) to pin the two-regime shape; the
-    // three-regime dispatch has its own tests.
-    let mut ac = AutoConfig::for_platform(&PlatformSpec::platform_a());
-    ac.mid_max_bytes = 0;
-    for op in [XcclOp::Broadcast { root: 0 }, XcclOp::AllReduce { op: ReduceOp::SumF32 }] {
-        let small = 32u64 << 10;
-        let auto = timed_collective(CollEngine::Auto(ac), op, small);
-        let ring = timed_collective(CollEngine::default(), op, small);
-        assert!(auto < ring, "{op:?}@32KiB: auto {auto:?} must beat ring {ring:?}");
-
-        let large = 4u64 << 20; // far above every crossover at 16 ranks
-        let auto = timed_collective(CollEngine::Auto(ac), op, large);
-        let live = timed_collective(CollEngine::Ring(ac.ring_for(&op)), op, large);
-        assert_eq!(auto, live, "{op:?}@4MiB: auto must fall back to the identical live ring");
-    }
-    // All-gather has no latency-bound regime: always the ring schedule.
-    let auto = timed_collective(CollEngine::Auto(ac), XcclOp::AllGather, 16 << 10);
-    let ring = timed_collective(
-        CollEngine::Ring(ac.ring_for(&XcclOp::AllGather)),
-        XcclOp::AllGather,
-        16 << 10,
-    );
-    assert_eq!(auto, ring, "all-gather never takes the LL path");
-}
-
-#[test]
 fn dbt_beats_ring_in_the_mid_band_and_is_deterministic() {
     // The PR 5 tentpole at engine level: at 16 ranks (4 nodes × 4
     // A100s) a 1 MiB allreduce sits squarely in the mid band — the
@@ -429,39 +350,11 @@ fn dbt_beats_ring_in_the_mid_band_and_is_deterministic() {
 }
 
 #[test]
-fn auto_dispatches_three_regimes_in_order() {
-    // The dispatcher's boundaries must be ordered and genuinely
-    // separate the engines: at a size inside the mid band Auto matches
-    // the DBT engine's schedule exactly, and above the upper cut it
-    // matches the live ring exactly.
-    let platform = PlatformSpec::platform_a();
-    let mut ac = AutoConfig::for_platform(&platform);
-    // Pull the upper guardrail in so the regime sizes stay inside the
-    // test world's 8 MiB device heaps.
-    ac.mid_max_bytes = 1 << 20;
-    let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
-    // 16 ranks over 4 nodes like timed_collective's world.
-    let ll_cut = diomp_xccl::crossover_bytes(&platform, &op, 16, 4, &ac);
-    let dbt_cut = diomp_xccl::dbt_crossover_bytes(&platform, &op, 16, 4, &ac);
-    assert!(0 < ll_cut && ll_cut < dbt_cut, "boundaries must be ordered: {ll_cut} vs {dbt_cut}");
-
-    let mid = (dbt_cut / 2).max(ll_cut + 1).next_power_of_two();
-    assert!(mid <= dbt_cut, "test size {mid} must sit inside the mid band");
-    let auto = timed_collective(CollEngine::Auto(ac), op, mid);
-    let dbt = timed_collective(CollEngine::Dbt(RingConfig::auto(&platform, &op, 4)), op, mid);
-    assert_eq!(auto, dbt, "mid band must run the DBT schedule");
-
-    let above = (2 * dbt_cut).next_power_of_two();
-    let auto = timed_collective(CollEngine::Auto(ac), op, above);
-    let ring = timed_collective(CollEngine::Ring(ac.ring_for(&op)), op, above);
-    assert_eq!(auto, ring, "above the mid band Auto must run the live ring");
-}
-
-#[test]
 fn auto_small_path_is_deterministic_and_cheap_to_schedule() {
-    // The LL/tree schedule is closed-form — it must replay bit-identically
-    // and cost far fewer scheduler entries than the ring's chunked
-    // progress loop at the same size.
+    // The LL/tree schedule Auto runs small collectives on (pinned here)
+    // is closed-form — it must replay bit-identically and cost far fewer
+    // scheduler entries than the ring's chunked progress loop at the
+    // same size.
     let ac = AutoConfig::for_platform(&PlatformSpec::platform_a());
     let run = |engine: CollEngine| {
         with_engine(8, engine, true, |ctx, world, comm, r| {
@@ -483,9 +376,9 @@ fn auto_small_path_is_deterministic_and_cheap_to_schedule() {
             );
         })
     };
-    let a = run(CollEngine::Auto(ac));
-    let b = run(CollEngine::Auto(ac));
-    assert_eq!(a, b, "auto schedule must be deterministic");
+    let a = run(CollEngine::LlTree(ac));
+    let b = run(CollEngine::LlTree(ac));
+    assert_eq!(a, b, "LL/tree schedule must be deterministic");
     let (_, ring_entries, _) = run(CollEngine::default());
     assert!(
         a.1 < ring_entries,
@@ -521,4 +414,113 @@ fn larger_chunks_pipeline_worse_at_large_sizes() {
     let pipelined = run(128 << 10);
     let monolithic = run(u64::MAX);
     assert!(pipelined < monolithic, "chunked ring must be faster: {pipelined:?} vs {monolithic:?}");
+}
+
+/// One collective of `len` bytes under `engine` on `nodes × per` devices
+/// of `platform` (Functional mode, fabric faults from `plan`), every rank
+/// contributing distinct bytes. Returns (end time, scheduler entries,
+/// every rank's buffer afterwards, the engine `auto_choice` named on
+/// rank 0 at call time).
+fn one_collective(
+    platform: &PlatformSpec,
+    (nodes, per): (usize, usize),
+    plan: &FaultPlan,
+    engine: CollEngine,
+    kind: u8,
+    len: u64,
+) -> (SimTime, u64, Vec<Vec<u8>>, CollEngine) {
+    let mut sim = Sim::new();
+    sim.set_fault_plan(plan.clone());
+    let nranks = nodes * per;
+    let spec = ClusterSpec { platform: platform.clone(), nodes, gpus_per_node: per };
+    let topo = Arc::new(Topology::build(&sim.handle(), spec));
+    let heap = (2 * len * nranks as u64).next_power_of_two().max(1 << 20);
+    let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::Functional, Some(heap));
+    let world = FabricWorld::new(topo, devs, nranks);
+    world.attach_sim(&sim.handle());
+    let id = UniqueId::generate();
+    let out = Arc::new(parking_lot::Mutex::new((vec![Vec::new(); nranks], None)));
+    for r in 0..nranks {
+        let (world, out) = (world.clone(), out.clone());
+        sim.spawn(format!("rank{r}"), move |ctx| {
+            let comm = XcclComm::init(
+                ctx,
+                &world,
+                (0..nranks).collect(),
+                r,
+                id,
+                CommOpts { engine, ..CommOpts::default() },
+            );
+            let op = match kind {
+                0 => XcclOp::AllReduce { op: ReduceOp::SumU64 },
+                1 => XcclOp::Broadcast { root: 1 % nranks },
+                2 => XcclOp::AllGather,
+                _ => XcclOp::Reduce { root: 1 % nranks, op: ReduceOp::SumU64 },
+            };
+            let cap = len * nranks as u64;
+            let dev = world.primary_dev(r);
+            let off = dev.malloc(cap, 256).unwrap();
+            let bytes: Vec<u8> = (0..cap as usize).map(|i| (r * 31 + i * 7) as u8).collect();
+            dev.mem.write(off, &bytes).unwrap();
+            if r == 0 {
+                out.lock().1 = Some(comm.auto_choice(&op, len));
+            }
+            comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, len);
+            let mut got = vec![0u8; cap as usize];
+            dev.mem.read(off, &mut got).unwrap();
+            out.lock().0[r] = got;
+        });
+    }
+    let rep = sim.run().unwrap();
+    let (bufs, choice) = out.lock().clone();
+    (rep.end_time, rep.entries_processed, bufs, choice.unwrap())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `Auto` is exactly the engine it names: on a random platform, op,
+    /// size (64 B – 512 KiB, log-uniform, ragged tails included) and
+    /// healthy or degraded fabric, the engine `auto_choice` returns,
+    /// run pinned, lands bit for bit the virtual time, scheduler
+    /// entries and buffer bytes of the `Auto` call.
+    #[test]
+    fn auto_is_bit_identical_to_the_engine_it_names(
+        which in 0usize..3,
+        kind in 0u8..4,
+        shift in 6u32..20,
+        frac in 0u64..1024,
+        degraded in 0u8..2,
+    ) {
+        let (platform, shape) = [
+            (PlatformSpec::platform_a(), (4, 4)),
+            (PlatformSpec::platform_b(), (2, 8)),
+            (PlatformSpec::platform_c(), (8, 1)),
+        ][which].clone();
+        let len = ((1u64 << shift) + (frac << shift) / 1024).max(8);
+        let mut plan = FaultPlan::new();
+        if degraded == 1 {
+            // Every NIC at 5 % of nominal bandwidth for the whole run.
+            let probe = Sim::new();
+            let spec = ClusterSpec {
+                platform: platform.clone(),
+                nodes: shape.0,
+                gpus_per_node: shape.1,
+            };
+            let topo = Topology::build(&probe.handle(), spec);
+            for d in 0..shape.0 * shape.1 {
+                let nic = topo.nic_for(topo.dev_loc(d));
+                plan = plan.degrade_link(nic, SimTime::ZERO, SimTime(u64::MAX), 50);
+            }
+        }
+        let auto = CollEngine::Auto(AutoConfig::for_platform(&platform));
+        let (t_auto, e_auto, bytes_auto, choice) =
+            one_collective(&platform, shape, &plan, auto, kind, len);
+        prop_assert!(!matches!(choice, CollEngine::Auto(_) | CollEngine::Profile));
+        let (t_pin, e_pin, bytes_pin, _) =
+            one_collective(&platform, shape, &plan, choice, kind, len);
+        prop_assert_eq!(t_auto, t_pin, "{:?}: virtual time", choice);
+        prop_assert_eq!(e_auto, e_pin, "{:?}: scheduler entries", choice);
+        prop_assert_eq!(bytes_auto, bytes_pin, "{:?}: buffer bytes", choice);
+    }
 }

@@ -96,7 +96,7 @@ fn broadcast_copies_root_payload_everywhere() {
             64,
         );
         let got = read_f64(world, r, off, 8);
-        let root_flat = comm.ring.order[2];
+        let root_flat = comm.ring().order[2];
         assert_eq!(got, vec![root_flat as f64 * 100.0; 8], "rank {r}");
     });
 }
@@ -131,7 +131,8 @@ fn allgather_places_chunks_in_ring_order() {
         write_f64(world, r, off, &[r as f64, r as f64]); // 16 B payload
         comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], XcclOp::AllGather, 16);
         let got = read_f64(world, r, off, 8);
-        let expect: Vec<f64> = comm.ring.order.iter().flat_map(|&f| [f as f64, f as f64]).collect();
+        let expect: Vec<f64> =
+            comm.ring().order.iter().flat_map(|&f| [f as f64, f as f64]).collect();
         assert_eq!(got, expect, "rank {r}");
     });
 }
@@ -160,12 +161,12 @@ fn single_process_multi_gpu_rank_contributes_all_its_devices() {
 fn ring_order_is_node_major() {
     with_comm(8, 1, |_ctx, world, comm, _r| {
         let nodes: Vec<usize> =
-            comm.ring.order.iter().map(|&f| world.devs.dev(f).loc.node).collect();
+            comm.ring().order.iter().map(|&f| world.devs.dev(f).loc.node).collect();
         let mut sorted = nodes.clone();
         sorted.sort_unstable();
         assert_eq!(nodes, sorted, "ring must be node-major to minimise crossings");
-        assert_eq!(comm.ring.nodes, 2);
-        assert_eq!(comm.ring.nrings, 4, "4 NICs per node ⇒ 4 rails");
+        assert_eq!(comm.ring().nodes, 2);
+        assert_eq!(comm.ring().nrings, 4, "4 NICs per node ⇒ 4 rails");
     });
 }
 

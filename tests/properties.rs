@@ -647,38 +647,97 @@ fn tuned_minimod_wavefield_is_byte_identical_and_deterministic() {
 
 // ---------- ISSUE 5: dispatch-boundary continuity ----------
 
-/// The three-regime dispatcher must be seamless: at the power-of-two
-/// sizes straddling each crossover (LL→DBT and DBT→ring) the modelled
-/// latency may not cliff — the step up in size costs at most the size
-/// ratio plus protocol overhead, and `Auto` never loses to the pure
-/// ring engine on either side of either boundary, on all three paper
+/// Boot an Auto communicator over `clients + servers` full nodes of
+/// `platform` (the trailing `servers` nodes carved out as reduction
+/// servers via `ServerSpec::tail`) under fault `plan`, and return the
+/// engine `auto_choice` names for a SumF32 allreduce at every power of
+/// two from 1 KiB to 64 MiB — the live pricing, health vector included.
+fn auto_choices(
+    platform: &diomp::sim::PlatformSpec,
+    clients: usize,
+    servers: usize,
+    plan: &diomp::sim::FaultPlan,
+) -> Vec<(u64, diomp::xccl::CollEngine)> {
+    use diomp::device::{DataMode, DeviceTable};
+    use diomp::fabric::{FabricWorld, ReduceOp};
+    use diomp::sim::{ClusterSpec, Topology};
+    use diomp::xccl::{AutoConfig, CollEngine, CommOpts, ServerSpec, UniqueId, XcclComm, XcclOp};
+    use std::sync::Arc;
+
+    let nodes = clients + servers;
+    let gpn = platform.gpus_per_node;
+    let nranks = nodes * gpn;
+    let mut sim = Sim::new();
+    sim.set_fault_plan(plan.clone());
+    let spec = ClusterSpec { platform: platform.clone(), nodes, gpus_per_node: gpn };
+    let topo = Arc::new(Topology::build(&sim.handle(), spec));
+    let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, Some(1 << 20));
+    let world = FabricWorld::new(topo, devs, nranks);
+    world.refresh_health_from_plan(plan);
+    let id = UniqueId::generate();
+    let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let out2 = out.clone();
+    let ac = AutoConfig::for_platform(platform);
+    for r in 0..nranks {
+        let world = world.clone();
+        let out2 = out2.clone();
+        sim.spawn(format!("rank{r}"), move |ctx| {
+            let bits = world.bootstrap.exchange(ctx, r, if r == 0 { id.bits() } else { 0 })[0];
+            let comm = XcclComm::init(
+                ctx,
+                &world,
+                (0..nranks).collect(),
+                r,
+                UniqueId::from_bits(bits),
+                CommOpts {
+                    engine: CollEngine::Auto(ac),
+                    servers: ServerSpec::tail(servers),
+                    ..CommOpts::default()
+                },
+            );
+            if r == 0 {
+                let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
+                *out2.lock() =
+                    (10..=26).map(|k| (1u64 << k, comm.auto_choice(&op, 1 << k))).collect();
+            }
+        });
+    }
+    sim.run().unwrap();
+    let v = out.lock().clone();
+    v
+}
+
+/// The dispatcher must be seamless: at the power-of-two sizes
+/// straddling every boundary where `auto_choice` changes engine the
+/// modelled latency may not cliff — the step up in size costs at most
+/// the size ratio plus protocol overhead — and `Auto` never loses to the
+/// pure ring engine on either side of any boundary, on all three paper
 /// platforms at Fig. 6 scale.
 #[test]
 fn auto_dispatch_has_no_cliff_at_regime_boundaries() {
     use diomp::apps::micro::{diomp_collective_auto, diomp_collective_full, fig6_nodes, CollKind};
-    use diomp::core::{
-        crossover_bytes, dbt_crossover_bytes, default_nrings, CollEngine, Conduit, Tuner, XcclOp,
-    };
+    use diomp::core::CollEngine;
+    use diomp::sim::FaultPlan;
+    use std::mem::discriminant;
 
     for platform in
         [PlatformSpec::platform_a(), PlatformSpec::platform_b(), PlatformSpec::platform_c()]
     {
         let nodes = fig6_nodes(&platform);
-        let n = nodes * platform.gpus_per_node;
-        let nrings = default_nrings(&platform);
-        let ac = Tuner::new(&platform, Conduit::GasnetEx).auto_config();
-        let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
-        let ll_cut = crossover_bytes(&platform, &op, n, nrings, &ac);
-        let dbt_cut = dbt_crossover_bytes(&platform, &op, n, nrings, &ac).max(ll_cut);
-        assert!(ll_cut > 0, "{}: LL regime must be non-empty", platform.name);
-
-        let mut boundaries = vec![ll_cut];
-        if dbt_cut > ll_cut {
-            boundaries.push(dbt_cut);
-        }
+        let choices = auto_choices(&platform, nodes, 0, &FaultPlan::new());
+        assert!(
+            matches!(choices[0].1, CollEngine::LlTree(_)),
+            "{}: LL regime must be non-empty",
+            platform.name
+        );
+        // `cut` is the last size of the lower regime; twice it is the
+        // first power-of-two size of the upper regime.
+        let boundaries: Vec<u64> = choices
+            .windows(2)
+            .filter(|w| discriminant(&w[0].1) != discriminant(&w[1].1))
+            .map(|w| w[0].0)
+            .collect();
         for cut in boundaries {
-            // `cut` is the last size of the lower regime; twice it is
-            // the first power-of-two size of the upper regime.
             let sizes = [cut, 2 * cut];
             let auto = diomp_collective_auto(&platform, nodes, CollKind::AllReduce, &sizes);
             let ring = diomp_collective_full(
@@ -708,63 +767,19 @@ fn auto_dispatch_has_no_cliff_at_regime_boundaries() {
 
 // ---------- ISSUE 8: in-network reduction offload ----------
 
-/// Boot a server-equipped Auto communicator (trailing `servers` nodes
-/// carved out via `ServerSpec::tail`) under `plan` and return its live
-/// regime triple `(ll_cut, dbt_cut, rsv_cut)` — the boundaries the
-/// dispatcher actually prices at query time, health vector included.
-fn server_cuts(
-    platform: &diomp::sim::PlatformSpec,
-    clients: usize,
-    servers: usize,
-    plan: &diomp::sim::FaultPlan,
-) -> (u64, u64, u64) {
-    use diomp::device::{DataMode, DeviceTable};
-    use diomp::fabric::{FabricWorld, ReduceOp};
-    use diomp::sim::{ClusterSpec, Topology};
-    use diomp::xccl::{AutoConfig, CollEngine, CommOpts, ServerSpec, UniqueId, XcclComm, XcclOp};
-    use std::sync::Arc;
-
-    let nodes = clients + servers;
-    let gpn = platform.gpus_per_node;
-    let nranks = nodes * gpn;
-    let mut sim = Sim::new();
-    sim.set_fault_plan(plan.clone());
-    let spec = ClusterSpec { platform: platform.clone(), nodes, gpus_per_node: gpn };
-    let topo = Arc::new(Topology::build(&sim.handle(), spec));
-    let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, Some(1 << 20));
-    let world = FabricWorld::new(topo, devs, nranks);
-    world.refresh_health_from_plan(plan);
-    let id = UniqueId::generate();
-    let out = Arc::new(parking_lot::Mutex::new((0u64, 0u64, 0u64)));
-    let out2 = out.clone();
-    let ac = AutoConfig::for_platform(platform);
-    for r in 0..nranks {
-        let world = world.clone();
-        let out2 = out2.clone();
-        sim.spawn(format!("rank{r}"), move |ctx| {
-            let bits = world.bootstrap.exchange(ctx, r, if r == 0 { id.bits() } else { 0 })[0];
-            let comm = XcclComm::init(
-                ctx,
-                &world,
-                (0..nranks).collect(),
-                r,
-                UniqueId::from_bits(bits),
-                CommOpts {
-                    engine: CollEngine::Auto(ac),
-                    servers: ServerSpec::tail(servers),
-                    ..CommOpts::default()
-                },
-            );
-            if r == 0 {
-                *out2.lock() = comm
-                    .auto_regimes(&XcclOp::AllReduce { op: ReduceOp::SumF32 })
-                    .expect("Auto engine always has regimes");
-            }
-        });
+/// The server regime's lower boundary in a choice grid: the smallest
+/// size from which `Auto` runs the reduction server at every larger
+/// size (0 when the top of the grid does not).
+fn rsv_cut(choices: &[(u64, diomp::xccl::CollEngine)]) -> u64 {
+    let mut cut = 0;
+    for &(s, e) in choices {
+        match e {
+            diomp::xccl::CollEngine::ReductionServer(_) if cut == 0 => cut = s,
+            diomp::xccl::CollEngine::ReductionServer(_) => {}
+            _ => cut = 0,
+        }
     }
-    sim.run().unwrap();
-    let v = *out.lock();
-    v
+    cut
 }
 
 proptest! {
@@ -893,81 +908,89 @@ proptest! {
     }
 }
 
-/// The fourth regime boundary is seamless too: at the power-of-two
-/// sizes straddling the live `rsv_cut` on a server-provisioned cluster,
-/// the modelled latency may not cliff, and `Auto` never loses to the
-/// pure ring engine on either side — on all three paper platforms.
+/// The server regime is seamless too: on a server-provisioned cluster
+/// `Auto` runs the reduction server at the top of the size grid, and at
+/// the power-of-two sizes straddling every boundary where `auto_choice`
+/// changes engine the modelled latency may not cliff, and `Auto` never
+/// loses to the pure ring engine on either side — on all three paper
+/// platforms.
 #[test]
 fn auto_dispatch_has_no_cliff_at_the_server_boundary() {
     use diomp::apps::micro::{diomp_collective_served, CollKind};
     use diomp::core::{CollEngine, Conduit, Tuner};
     use diomp::sim::{FaultPlan, PlatformSpec};
+    use std::mem::discriminant;
 
     for (platform, clients, servers) in [
         (PlatformSpec::platform_a(), 8usize, 8usize),
         (PlatformSpec::platform_b(), 4, 4),
         (PlatformSpec::platform_c(), 8, 8),
     ] {
-        let (_, dbt_cut, rsv_cut) = server_cuts(&platform, clients, servers, &FaultPlan::new());
+        let choices = auto_choices(&platform, clients, servers, &FaultPlan::new());
         assert!(
-            rsv_cut > dbt_cut,
-            "{}: a provisioned {clients}+{servers} layout must open the server regime \
-             strictly above the mid band (rsv_cut {rsv_cut} vs dbt_cut {dbt_cut})",
+            rsv_cut(&choices) > 0,
+            "{}: a provisioned {clients}+{servers} layout must open the server regime",
             platform.name
         );
-        let above = rsv_cut.next_power_of_two();
-        let sizes = [above / 2, above];
         let nodes = clients + servers;
         let tuner = Tuner::new(&platform, Conduit::GasnetEx);
-        let auto = diomp_collective_served(
-            &platform,
-            nodes,
-            servers,
-            CollKind::AllReduce,
-            &sizes,
-            tuner.coll_engine(),
-        );
-        let ring = diomp_collective_served(
-            &platform,
-            nodes,
-            servers,
-            CollKind::AllReduce,
-            &sizes,
-            CollEngine::default(),
-        );
-        let (below_us, above_us) = (auto[0].1, auto[1].1);
-        assert!(
-            above_us <= 4.0 * below_us,
-            "{} boundary {rsv_cut}: latency cliffs {below_us:.1}µs -> {above_us:.1}µs",
-            platform.name
-        );
-        for (&(s, auto_us, _), &(_, ring_us, _)) in auto.iter().zip(&ring) {
+        for cut in choices
+            .windows(2)
+            .filter(|w| discriminant(&w[0].1) != discriminant(&w[1].1))
+            .map(|w| w[0].0)
+        {
+            let sizes = [cut, 2 * cut];
+            let auto = diomp_collective_served(
+                &platform,
+                nodes,
+                servers,
+                CollKind::AllReduce,
+                &sizes,
+                tuner.coll_engine(),
+            );
+            let ring = diomp_collective_served(
+                &platform,
+                nodes,
+                servers,
+                CollKind::AllReduce,
+                &sizes,
+                CollEngine::default(),
+            );
+            let (below_us, above_us) = (auto[0].1, auto[1].1);
             assert!(
-                auto_us <= ring_us * 1.01,
-                "{} @{s}: Auto ({auto_us:.1}µs) must not lose to the ring ({ring_us:.1}µs) \
-                 at the server boundary",
+                above_us <= 4.0 * below_us,
+                "{} boundary {cut}: latency cliffs {below_us:.1}µs -> {above_us:.1}µs",
                 platform.name
             );
+            for (&(s, auto_us, _), &(_, ring_us, _)) in auto.iter().zip(&ring) {
+                assert!(
+                    auto_us <= ring_us * 1.01,
+                    "{} @{s}: Auto ({auto_us:.1}µs) must not lose to the ring ({ring_us:.1}µs) \
+                     at a server-comm boundary",
+                    platform.name
+                );
+            }
         }
     }
 }
 
-/// The fourth boundary is priced from the *live* configuration, not a
+/// The server regime is priced from the *live* configuration, not a
 /// frozen table: shrinking the live server set to the point where the
-/// servers are injection-bound closes the regime outright, and a
-/// degraded fabric (which reprices the ring/DBT terms the boundary is
-/// clamped against) retreats it toward smaller sizes.
+/// servers are injection-bound closes the regime at the bandwidth-bound
+/// top, and a degraded fabric (which reprices every candidate) makes
+/// the starved fan-back bind at smaller sizes still.
 #[test]
 fn server_crossover_tracks_the_live_ring_and_server_config() {
     use diomp::device::{DataMode, DeviceTable};
     use diomp::sim::{ClusterSpec, FaultPlan, PlatformSpec, SimTime, Topology};
+    use diomp::xccl::CollEngine;
     use std::sync::Arc;
 
     let platform = PlatformSpec::platform_a();
     let (clients, servers) = (8usize, 8usize);
     let gpn = platform.gpus_per_node;
-    let healthy = server_cuts(&platform, clients, servers, &FaultPlan::new());
-    assert!(healthy.2 > healthy.1, "healthy 8+8 must open the server regime: {healthy:?}");
+    let healthy = rsv_cut(&auto_choices(&platform, clients, servers, &FaultPlan::new()));
+    assert!(healthy > 0, "healthy 8+8 must open the server regime");
 
     // Build the fault plans against a probe topology (same shape the
     // runs boot, so flat device ids line up).
@@ -980,28 +1003,38 @@ fn server_crossover_tracks_the_live_ring_and_server_config() {
     for f in (clients + servers / 2) * gpn..(clients + servers) * gpn {
         half = half.kill_link(devs.dev(f).nic);
     }
-    let mut degraded = FaultPlan::new();
-    for f in 0..(clients + servers) * gpn {
+    let mut degraded = half.clone();
+    for f in 0..(clients + servers / 2) * gpn {
         degraded = degraded.degrade_link(devs.dev(f).nic, SimTime::ZERO, SimTime(u64::MAX), 50);
     }
     drop(probe);
+    let last_rsv = |choices: &[(u64, CollEngine)]| {
+        choices
+            .iter()
+            .filter(|(_, e)| matches!(e, CollEngine::ReductionServer(_)))
+            .map(|&(s, _)| s)
+            .max()
+            .unwrap_or(0)
+    };
 
     // Half the server nodes dead: 32 client NICs feed 16 server NICs,
-    // the servers are injection-bound, the priced win region vanishes —
-    // the dispatcher must close the regime rather than offload at a loss.
-    let shrunk = server_cuts(&platform, clients, servers, &half);
+    // the servers are injection-bound, the priced win region closes at
+    // the top — the dispatcher must not offload at a loss there.
+    let shrunk = auto_choices(&platform, clients, servers, &half);
     assert_eq!(
-        shrunk.2, 0,
-        "an injection-bound live server set must close the fourth regime: {shrunk:?}"
+        rsv_cut(&shrunk),
+        0,
+        "an injection-bound live server set must close the top server regime: {shrunk:?}"
     );
 
-    // A fabric degraded to 5% of nominal bandwidth reprices every
-    // boundary; the server cut must move with the live pricing (here:
-    // retreat with the clamped mid band), never stay frozen.
-    let repriced = server_cuts(&platform, clients, servers, &degraded);
+    // The surviving links degraded to 5% of nominal bandwidth: every
+    // candidate is repriced, and the starved fan-back must bind at
+    // smaller sizes — the regime moves with the live pricing, never
+    // stays frozen.
+    let repriced = auto_choices(&platform, clients, servers, &degraded);
     assert!(
-        repriced.2 > 0 && repriced.2 < healthy.2,
-        "a 20x slower wire must retreat the server boundary: {repriced:?} vs {healthy:?}"
+        last_rsv(&repriced) < last_rsv(&shrunk),
+        "a 20x slower wire must retreat the starved server regime: {repriced:?} vs {shrunk:?}"
     );
 }
 
