@@ -7,6 +7,7 @@
 //! warm-up (to populate caches, streams and communicators) plus a small
 //! number of measured repetitions is exact.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use diomp_core::{CollEngine, Conduit, DiompConfig, DiompRuntime, PipelineConfig, ServerSpec};
@@ -31,6 +32,16 @@ pub enum CollKind {
     Broadcast,
     /// Sum all-reduce.
     AllReduce,
+}
+
+impl CollKind {
+    /// The collective this kind measures.
+    pub fn op(self) -> diomp_core::XcclOp {
+        match self {
+            CollKind::Broadcast => diomp_core::XcclOp::Broadcast { root: 0 },
+            CollKind::AllReduce => diomp_core::XcclOp::AllReduce { op: ReduceOp::SumF32 },
+        }
+    }
 }
 
 const WARMUP: usize = 2;
@@ -263,10 +274,7 @@ pub fn fig6_pricing(
     sizes: &[u64],
     engines: &[CollEngine],
 ) -> Vec<(CollEngine, Vec<Option<f64>>)> {
-    let op = match kind {
-        CollKind::Broadcast => diomp_core::XcclOp::Broadcast { root: 0 },
-        CollKind::AllReduce => diomp_core::XcclOp::AllReduce { op: ReduceOp::SumF32 },
-    };
+    let op = kind.op();
     let cfg = DiompConfig::builder_on(platform.clone(), nodes)
         .with_mode(DataMode::CostOnly)
         .with_heap(1 << 20)
@@ -567,11 +575,11 @@ impl ScaleEngine {
         }
     }
 
-    fn engine(self, platform: &PlatformSpec) -> CollEngine {
-        let op = diomp_core::XcclOp::AllReduce { op: ReduceOp::SumF32 };
+    /// The engine on the live per-op chunking of `op`.
+    fn engine(self, platform: &PlatformSpec, op: &diomp_core::XcclOp) -> CollEngine {
         match self {
-            ScaleEngine::Ring => CollEngine::Ring(diomp_core::RingConfig::auto(platform, &op, 1)),
-            ScaleEngine::Dbt => CollEngine::Dbt(diomp_core::RingConfig::auto(platform, &op, 1)),
+            ScaleEngine::Ring => CollEngine::Ring(diomp_core::RingConfig::auto(platform, op, 1)),
+            ScaleEngine::Dbt => CollEngine::Dbt(diomp_core::RingConfig::auto(platform, op, 1)),
             ScaleEngine::Auto => CollEngine::Auto(diomp_core::AutoConfig::for_platform(platform)),
         }
     }
@@ -583,6 +591,10 @@ pub struct ScaleRun {
     /// Virtual end-of-run time in nanoseconds — bit-comparable between
     /// the coalesced and forced-explicit arms.
     pub end_ns: u64,
+    /// Virtual nanoseconds of the collective alone: the last rank's
+    /// entry to the end of the run (the communicator's init charge
+    /// precedes it).
+    pub coll_ns: u64,
     /// Scheduler heap entries popped over the whole run.
     pub entries: u64,
     /// Chunk completions credited to coalesced wake entries (0 on the
@@ -592,21 +604,23 @@ pub struct ScaleRun {
     pub sim_wall_ms: f64,
 }
 
-/// Run one `bytes`-byte allreduce over `nranks` single-GPU nodes of the
-/// NDR-IB platform (C) in cost-only mode — one `fig_scale` cell. Every
+/// Run one `bytes`-byte collective of `kind` over `nranks` single-GPU
+/// nodes of the NDR-IB platform (C) in cost-only mode — one `fig_scale`
+/// cell (allreduce) or one `bench_gate` scale-regret cell. Every
 /// rank is its own node, so the ring is single-rail and every edge
 /// crosses the network; rank count, not node fan-out, is the swept
 /// variable. With `forced_explicit` the run pins the per-chunk event
 /// driver ([`Sim::force_explicit_schedules`]) — the uncoalesced
 /// reference arm; virtual time must be bit-identical either way, which
 /// `fig_scale` and the bench gate assert wherever both arms run.
-pub fn scale_allreduce(
+pub fn scale_collective(
     nranks: usize,
     sel: ScaleEngine,
+    kind: CollKind,
     bytes: u64,
     forced_explicit: bool,
 ) -> ScaleRun {
-    use diomp_core::{CommOpts, DeviceBuf, UniqueId, XcclComm, XcclOp};
+    use diomp_core::{CommOpts, DeviceBuf, UniqueId, XcclComm};
     let platform = PlatformSpec::platform_c();
     let mut sim = Sim::new();
     if forced_explicit {
@@ -617,12 +631,13 @@ pub fn scale_allreduce(
     let heap = (2 * bytes + (1 << 20)).next_power_of_two();
     let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, Some(heap));
     let world = FabricWorld::new(topo, devs, nranks);
-    let engine = sel.engine(&platform);
+    let op = kind.op();
+    let engine = sel.engine(&platform, &op);
     let id = UniqueId::generate();
     let ranks: Arc<Vec<usize>> = Arc::new((0..nranks).collect());
+    let entry = Arc::new(AtomicU64::new(0));
     for r in 0..nranks {
-        let world = world.clone();
-        let ranks = ranks.clone();
+        let (world, ranks, entry) = (world.clone(), ranks.clone(), entry.clone());
         sim.spawn(format!("rank{r}"), move |ctx| {
             let comm = XcclComm::init(
                 ctx,
@@ -634,18 +649,14 @@ pub fn scale_allreduce(
             );
             let dev = world.primary_dev(r);
             let off = dev.malloc(bytes.max(64), 256).unwrap();
-            comm.collective(
-                ctx,
-                r,
-                vec![DeviceBuf { flat: r, off }],
-                XcclOp::AllReduce { op: ReduceOp::SumF32 },
-                bytes,
-            );
+            entry.fetch_max(ctx.now().nanos(), Ordering::Relaxed);
+            comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, bytes);
         });
     }
     let rep = sim.run().expect("scale sweep deadlocked");
     ScaleRun {
         end_ns: rep.end_time.nanos(),
+        coll_ns: rep.end_time.nanos() - entry.load(Ordering::Relaxed),
         entries: rep.entries_processed,
         coalesced: rep.coalesced_chunks,
         sim_wall_ms: rep.sim_wall_ms,

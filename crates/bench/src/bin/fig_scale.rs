@@ -20,7 +20,7 @@
 //! `--json PATH` emits every cell as `BENCH_*.json` records with the
 //! run's entry count and simulator wall-clock.
 
-use diomp_apps::micro::{scale_allreduce, ScaleEngine, ScaleRun};
+use diomp_apps::micro::{scale_collective, CollKind, ScaleEngine, ScaleRun};
 use diomp_bench::report::{json_path_from_args, BenchRecord};
 
 /// Swept rank counts (= node counts: one GPU per node).
@@ -54,7 +54,7 @@ fn main() {
     );
     for &n in &SCALES {
         for &eng in &ENGINES {
-            let fast = scale_allreduce(n, eng, PAYLOAD, false);
+            let fast = scale_collective(n, eng, CollKind::AllReduce, PAYLOAD, false);
             let tag = format!("fig_scale/allred16MB_{n}_{}", eng.tag());
             records.push(BenchRecord::with_sim_cost(
                 format!("{tag}/coalesced"),
@@ -71,7 +71,7 @@ fn main() {
                 sim_wall_ms: None,
             });
             let explicit: Option<ScaleRun> = explicit_feasible(n, eng).then(|| {
-                let ex = scale_allreduce(n, eng, PAYLOAD, true);
+                let ex = scale_collective(n, eng, CollKind::AllReduce, PAYLOAD, true);
                 assert_eq!(
                     ex.end_ns, fast.end_ns,
                     "{tag}: coalesced virtual time diverged from the explicit driver \

@@ -163,28 +163,63 @@ impl CommPlan {
     }
 }
 
+/// One registry slot: the plan, pinned by a strong reference until
+/// every listed member has taken it.
+struct Slot {
+    /// The world the plan was built on. The weak reference keeps the
+    /// allocation, and so the registry key's address, from being reused
+    /// by a later world while the slot exists.
+    world: Weak<FabricWorld>,
+    plan: Weak<CommPlan>,
+    /// Held until `pending` reaches zero, so a rank that drops its
+    /// communicator before a peer wakes from its init charge does not
+    /// free the plan under it. A listed member that never initialises
+    /// (a rank killed before its init) leaves the pin in place: the
+    /// plan then lives as long as the world, and the slot goes with the
+    /// first build after the world is dropped.
+    pin: Option<Arc<CommPlan>>,
+    /// Init calls still expected: one per listed member, which is why
+    /// every listed rank initialises exactly once per `UniqueId`.
+    pending: usize,
+}
+
 /// The plan for `id` on `world`: the first rank to initialise builds it,
-/// later ranks clone the `Arc`. The process-global registry holds weak
-/// references, so a plan lives exactly as long as some rank's
-/// communicator does, and one `UniqueId` reused on another world never
-/// aliases its layout.
+/// later ranks clone the `Arc`. The process-global registry pins the
+/// plan until every listed member has taken it, then holds only a weak
+/// reference, so a plan lives as long as some rank's communicator does
+/// and one `UniqueId` reused on another world never aliases its layout.
 fn shared_plan(
     world: &Arc<FabricWorld>,
     id: UniqueId,
     ranks: Vec<usize>,
     servers: ServerSpec,
 ) -> Arc<CommPlan> {
-    type Registry = Mutex<HashMap<(u64, usize), Weak<CommPlan>>>;
+    type Registry = Mutex<HashMap<(u64, usize), Slot>>;
     static PLANS: OnceLock<Registry> = OnceLock::new();
     let mut plans = PLANS.get_or_init(Registry::default).lock();
     let key = (id.bits(), Arc::as_ptr(world) as usize);
-    if let Some(plan) = plans.get(&key).and_then(Weak::upgrade) {
-        debug_assert_eq!(plan.ranks, ranks, "every rank must initialise with the same ranks");
-        return plan;
+    if let Some(slot) = plans.get_mut(&key) {
+        if let Some(plan) = slot.plan.upgrade() {
+            debug_assert_eq!(plan.ranks, ranks, "every rank must initialise with the same ranks");
+            slot.pending = slot.pending.saturating_sub(1);
+            if slot.pending == 0 {
+                slot.pin = None;
+            }
+            return plan;
+        }
     }
-    plans.retain(|_, plan| plan.strong_count() > 0);
+    plans.retain(|_, slot| slot.plan.strong_count() > 0 && slot.world.strong_count() > 0);
+    #[cfg(test)]
+    tests::BUILT.lock().push(id.bits());
+    let pending = ranks.len() - 1;
     let plan = Arc::new(CommPlan::build(world, ranks, servers));
-    plans.insert(key, Arc::downgrade(&plan));
+    let slot = Slot {
+        world: Arc::downgrade(world),
+        plan: Arc::downgrade(&plan),
+        pin: (pending > 0).then(|| plan.clone()),
+        pending,
+    };
+    plans.insert(key, slot);
     plan
 }
 
@@ -218,9 +253,11 @@ impl XcclComm {
     /// Collectively initialise a communicator over `ranks` (every listed
     /// rank must call with the same `ranks`/`id`/`opts`). Charges the
     /// library's initialisation cost (topology discovery, ring
-    /// construction, transport setup) and synchronises all participants.
-    /// The layout is built once, by the first rank to arrive, and shared
-    /// by every rank of the communicator.
+    /// construction, transport setup) to the calling rank only: there is
+    /// no barrier, so each rank returns after its own charge and the
+    /// first collective's gate is the first rendezvous. The layout is
+    /// built once, by the first rank to arrive, and shared by every rank
+    /// of the communicator.
     ///
     /// Engine, QoS weight and server designation all ride in
     /// [`CommOpts`]; `CommOpts::default()` reproduces the historical
@@ -546,6 +583,45 @@ mod tests {
     use super::*;
     use diomp_device::{DataMode, DeviceTable};
     use diomp_sim::{ClusterSpec, Sim, Topology};
+
+    /// Ids of every plan [`shared_plan`] built, in build order.
+    pub(super) static BUILT: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+
+    #[test]
+    fn ranks_dropping_their_communicators_at_once_build_the_plan_once() {
+        // Every rank parks on its init charge before taking the plan and
+        // drops its communicator as soon as it returns, so ranks wake and
+        // leave one at a time: without the pin, each later rank would
+        // find the plan freed and rebuild it.
+        const NRANKS: usize = 16;
+        let mut sim = Sim::new();
+        let spec = ClusterSpec {
+            platform: diomp_sim::PlatformSpec::platform_c(),
+            nodes: NRANKS,
+            gpus_per_node: 1,
+        };
+        let topo = Arc::new(Topology::build(&sim.handle(), spec));
+        let devs =
+            DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, Some(1 << 16));
+        let world = FabricWorld::new(topo, devs, NRANKS);
+        let id = UniqueId::generate();
+        for r in 0..NRANKS {
+            let world = world.clone();
+            sim.spawn(format!("rank{r}"), move |ctx| {
+                drop(XcclComm::init(
+                    ctx,
+                    &world,
+                    (0..NRANKS).collect(),
+                    r,
+                    id,
+                    CommOpts::default(),
+                ));
+            });
+        }
+        sim.run().unwrap();
+        let builds = BUILT.lock().iter().filter(|&&b| b == id.bits()).count();
+        assert_eq!(builds, 1, "CommPlan::build must run once per communicator");
+    }
 
     #[test]
     fn ranks_share_one_plan_and_shrink_builds_a_new_one() {

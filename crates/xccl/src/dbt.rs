@@ -126,36 +126,75 @@ pub(crate) fn double_tree(n: usize) -> [Tree; 2] {
     [t0, t1]
 }
 
+/// Most chunks one tree half may hold on a chunk finer than the live
+/// one. The ladder stops there: a finer grain past it marches more
+/// chunks for a fill that barely shrinks, and a payload already split
+/// this finely keeps the live chunk, and with it its schedule size.
+const LADDER_HALF_CHUNKS: u64 = 64;
+
+/// The chunkings [`crate::price::choose`] prices the DBT at for an
+/// `len`-byte payload over `nrings` rails: the live config, then each
+/// power of two below its chunk down to [`ring::RING_CHUNK_ALIGN`] while
+/// a tree half holds at most [`LADDER_HALF_CHUNKS`] chunks, all on the
+/// live window. The live knee is flat-optimal only at shallow trees; a
+/// deep tree's fill, paid per hop in chunk wire time, rewards a finer
+/// grain, and the pricing model finds where the lane window stops it.
+pub(crate) fn chunk_ladder(
+    live: RingConfig,
+    nrings: usize,
+    len: u64,
+) -> impl Iterator<Item = RingConfig> {
+    let half = len.div_ceil(2 * nrings.max(1) as u64);
+    let finer = (live.chunk_bytes > ring::RING_CHUNK_ALIGN)
+        .then(|| 1u64 << (live.chunk_bytes - 1).ilog2())
+        .into_iter()
+        .flat_map(|top| std::iter::successors(Some(top), |c| Some(c / 2)))
+        .take_while(move |&c| c >= ring::RING_CHUNK_ALIGN && half.div_ceil(c) <= LADDER_HALF_CHUNKS)
+        .map(move |chunk_bytes| RingConfig { chunk_bytes, ..live });
+    std::iter::once(live).chain(finer)
+}
+
 /// Closed-form estimate of the double-binary-tree schedule's completion
-/// time for an `s`-byte `op` on `n` devices over `nrings` rails with
-/// `chunk_bytes` chunking, in µs — the DBT term of
+/// time for an `s`-byte `op` on `n` devices over `nrings` rails under
+/// `cfg`'s chunking and lane window, in µs — the DBT term of
 /// [`crate::price::price_us`]. `None` when the engine has no tree
 /// schedule worth pricing: all-gather, and communicators too small for
 /// two useful node trees.
 ///
-/// The critical path pays the node tree's actual depth (computed from
-/// the `double_tree` construction, not an idealised `log2 n`) in
-/// chunk-pipelined rounds — doubled for allreduce — plus the intra-node
-/// chain, inflated by the fill penalty; the busiest NIC then
-/// serialises its share of the payload:
+/// The first chunk fills the pipeline: per phase (two for allreduce) it
+/// climbs or descends the node tree's actual depth (computed from the
+/// `double_tree` construction, not an idealised `log2 n`) and the
+/// intra-node chain. Each tree hop pays the per-chunk step, the wire
+/// latency and the chunk's wire time plus its queueing behind the
+/// sibling sends on the same NIC. Every later chunk then costs one
+/// period of the busiest NIC: the wire time of the sends it carries per
+/// chunk index, or the lane window's bound — `cfg.max_inflight` chunks
+/// per turnaround of step, latency and that NIC round — when that is
+/// slower. The bound is what gives small communicators an interior
+/// optimum chunk: a finer grain shortens the fill but, past the
+/// window's reach, slows every chunk after it.
 ///
-/// * **Allreduce**: an interior-tree leader sends half up and two
-///   halves down on its forwarding tree and half up on its leaf tree —
-///   `2·s/nrings`, since the rails' rotated blocks spread the leaders
-///   over the node's NICs.
+/// Per op, the busiest NIC's sends per chunk index:
+///
+/// * **Allreduce**: an interior-tree leader sends up and twice down on
+///   its forwarding tree and up on its leaf tree — four sends, since the
+///   rails' rotated blocks spread the leaders over the node's NICs. The
+///   reduce and broadcast streams overlap only partly, so the period
+///   runs at 0.9 of the four sends (calibrated against the emergent
+///   engine on C at 16–4096 ranks).
 /// * **Broadcast**: both trees of every rail are rotated onto the
 ///   root's block, which puts the same blocks in the interior of both
-///   trees (each forwarding two halves to two children) and makes the
-///   root device lead its block on *every* rail. The interior NICs
-///   carry `2·s/nrings`, the root's NIC carries all rails' slices, `s`.
+///   trees (each forwarding two chunks to two children) and makes the
+///   root device lead its block on *every* rail: four sends on an
+///   interior NIC, two per rail on the root's.
 /// * **Reduce**: links are charged to the sender, and every non-root
-///   leader sends each tree's half up exactly once — `s/nrings`.
+///   leader sends each tree's chunk up exactly once — two sends.
 pub(crate) fn model_time_us(
     platform: &PlatformSpec,
     op: &XcclOp,
     n: usize,
     nrings: usize,
-    chunk_bytes: u64,
+    cfg: RingConfig,
     s: f64,
 ) -> Option<f64> {
     let gpn = platform.gpus_per_node.max(1);
@@ -164,33 +203,36 @@ pub(crate) fn model_time_us(
         return None;
     }
     let t = ring::tuning_for(platform, op, nrings);
-    // Per-phase critical path: the node tree's depth (inter-node hops,
-    // each carrying a chunk on the wire) plus the intra-node chain
-    // (fast GPU fabric — its chunk wire time is negligible, its per-hop
-    // step cost and link latency are not).
     let tree_depth = double_tree(nb).iter().map(Tree::depth).max().unwrap() as f64;
     let chain = (n.min(gpn) - 1) as f64;
-    let chain_lat = platform.intra.gpu_link_lat_us;
-    let phases = if matches!(op, XcclOp::AllReduce { .. }) { 2.0 } else { 1.0 };
     let lat = platform.net.latency_us;
     let bw = platform.net.nic_gbps * t.inter_eff * 1e3; // B/µs per edge
     let nrings_f = nrings.max(1) as f64;
-    // The emergent schedule's overhead over the pure bandwidth bound
-    // runs ~1.3–2× the naive fill estimate (two trees interleave their
-    // lanes on shared NICs, and the allreduce's turn-around couples the
-    // phases); priced at 1.5×.
-    const FILL_PENALTY: f64 = 1.5;
+    // (phases, queueing per hop in chunk wire times, busiest NIC's sends
+    // per chunk index, share of those sends on the period).
+    let (phases, queue, sends, share) = match op {
+        XcclOp::AllReduce { .. } => (2.0, 1.25, 4.0, 0.9),
+        XcclOp::Broadcast { .. } => (1.0, 2.0, (2.0 * nrings_f).max(4.0), 1.0),
+        _ => (1.0, 1.0, 2.0, 1.0),
+    };
     // Per-rail tree payload; each tree carries half of it.
     let half = s / (2.0 * nrings_f);
-    let cw = half.min(chunk_bytes.max(1) as f64);
-    let fill =
-        phases * (tree_depth * (t.step_us + lat + cw / bw) + chain * (t.step_us + chain_lat));
-    let bandwidth = match op {
-        XcclOp::AllReduce { .. } => 2.0 * s / (nrings_f * bw),
-        XcclOp::Broadcast { .. } => (2.0 / nrings_f).max(1.0) * s / bw,
-        _ => s / (nrings_f * bw),
-    };
-    Some(bandwidth + FILL_PENALTY * fill)
+    let cw = half.min(cfg.chunk_bytes.max(1) as f64);
+    let wire = cw / bw;
+    // A broadcast root injects all its sends of the first chunk index
+    // back to back; the last of them leaves that many wire times late.
+    let root_queue =
+        if matches!(op, XcclOp::Broadcast { .. }) { (sends - queue) * wire } else { 0.0 };
+    let fill = phases
+        * (tree_depth * (t.step_us + lat + queue * wire)
+            + chain * (t.step_us + platform.intra.gpu_link_lat_us))
+        + root_queue;
+    let window = cfg.max_inflight.max(1) as f64;
+    let period = (share * sends * wire).max((t.step_us + lat + sends * wire) / window);
+    // Every chunk after the first costs one period; the final chunk's
+    // receive-side step closes the schedule.
+    let later = if half > cw { (half - cw) / cw * period } else { 0.0 };
+    Some(fill + later + t.step_us)
 }
 
 /// Execute the double-binary-tree schedule in the calling task's
@@ -379,7 +421,7 @@ pub(crate) fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::price::{last_pick, Shape};
+    use crate::price::{choose, last_pick, Shape};
     use crate::{AutoConfig, CollEngine};
     use diomp_fabric::ReduceOp;
 
@@ -489,5 +531,107 @@ mod tests {
         ac.ring_allred = RingConfig { chunk_bytes: 512, max_inflight: 2 };
         let tiny = crossover_bytes(&p, &op, 64, 4, &ac);
         assert!(tiny < tuned, "DBT cut must move with the live ring chunk: {tiny} vs {tuned}");
+    }
+
+    #[test]
+    fn ladder_runs_from_the_live_chunk_to_the_align_floor_under_the_half_cap() {
+        let ar = XcclOp::AllReduce { op: ReduceOp::SumF32 };
+        let bc = XcclOp::Broadcast { root: 0 };
+        for p in
+            [PlatformSpec::platform_a(), PlatformSpec::platform_b(), PlatformSpec::platform_c()]
+        {
+            let ac = AutoConfig::for_platform(&p);
+            for live in [ac.ring_for(&ar), ac.ring_for(&bc)] {
+                for nrings in 1..=4 {
+                    for len in (10..=26).map(|k| 1u64 << k).chain([3 << 19, 1_000_003]) {
+                        let ladder: Vec<RingConfig> = chunk_ladder(live, nrings, len).collect();
+                        assert_eq!(ladder[0], live, "the live config is always a candidate");
+                        let half = len.div_ceil(2 * nrings as u64);
+                        for (prev, c) in ladder.iter().zip(&ladder[1..]) {
+                            assert!(c.chunk_bytes < prev.chunk_bytes, "{}: strictly finer", p.name);
+                            assert!(c.chunk_bytes.is_power_of_two());
+                            assert!(
+                                c.chunk_bytes >= ring::RING_CHUNK_ALIGN,
+                                "{}: align floor",
+                                p.name
+                            );
+                            assert!(c.chunk_bytes <= live.chunk_bytes);
+                            assert_eq!(c.max_inflight, live.max_inflight, "the live window");
+                            assert!(
+                                half.div_ceil(c.chunk_bytes) <= LADDER_HALF_CHUNKS,
+                                "{}: {len} B over {nrings} rails: {} B chunks overflow the half cap",
+                                p.name,
+                                c.chunk_bytes
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_payload_prices_finite() {
+        // A 0-byte payload has no chunk to pipeline: the model prices
+        // the fill alone instead of dividing by a zero chunk.
+        let ops = [
+            XcclOp::AllReduce { op: ReduceOp::SumF32 },
+            XcclOp::Broadcast { root: 0 },
+            XcclOp::Reduce { root: 0, op: ReduceOp::SumF32 },
+        ];
+        for p in
+            [PlatformSpec::platform_a(), PlatformSpec::platform_b(), PlatformSpec::platform_c()]
+        {
+            let ac = AutoConfig::for_platform(&p);
+            let shape = Shape { n: 16 * p.gpus_per_node, nrings: 1, servers: None };
+            for op in &ops {
+                let engine = CollEngine::Dbt(ac.ring_for(op));
+                let t = crate::price::price_us(&p, &shape, &engine, op, 0).unwrap();
+                assert!(t.is_finite() && t > 0.0, "{}: {op:?} at 0 B priced {t}", p.name);
+            }
+        }
+    }
+
+    #[test]
+    fn scale_16mb_allreduce_keeps_the_live_chunk() {
+        // A 16 MiB allreduce over 4096 single-GPU nodes of C already
+        // splits each tree half far past the cap at the live chunk: the
+        // ladder offers nothing finer, so the schedule (and its memory)
+        // is the one the live knee builds.
+        let p = PlatformSpec::platform_c();
+        let ac = AutoConfig::for_platform(&p);
+        let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
+        let live = ac.ring_for(&op);
+        assert_eq!(chunk_ladder(live, 1, 16 << 20).collect::<Vec<_>>(), [live]);
+        let shape = Shape { n: 4096, nrings: 1, servers: None };
+        assert_eq!(choose(&p, &shape, &ac, &op, 16 << 20), CollEngine::Dbt(live));
+    }
+
+    #[test]
+    fn deep_trees_take_a_finer_chunk_and_shallow_ones_an_interior_optimum() {
+        let p = PlatformSpec::platform_c();
+        let ac = AutoConfig::for_platform(&p);
+        let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
+        let live = ac.ring_for(&op);
+        // 4096 ranks, 1 MiB: the 12-hop fill dominates, so the finest
+        // chunk the half cap admits wins.
+        let shape = Shape { n: 4096, nrings: 1, servers: None };
+        assert_eq!(
+            choose(&p, &shape, &ac, &op, 1 << 20),
+            CollEngine::Dbt(RingConfig { chunk_bytes: 8 << 10, ..live })
+        );
+        // 16 ranks, 256 KiB: the cap admits 4 KiB, but the lane window
+        // bounds it, so the cheapest rung sits between the floor and the
+        // knee.
+        let len = 256 << 10;
+        let price = |rc: &RingConfig| model_time_us(&p, &op, 16, 1, *rc, len as f64).unwrap();
+        let ladder: Vec<RingConfig> = chunk_ladder(live, 1, len).collect();
+        assert_eq!(ladder.last().unwrap().chunk_bytes, ring::RING_CHUNK_ALIGN);
+        let best = ladder.iter().min_by(|a, b| price(a).total_cmp(&price(b))).unwrap();
+        assert!(
+            ring::RING_CHUNK_ALIGN < best.chunk_bytes && best.chunk_bytes < live.chunk_bytes,
+            "interior optimum, got {} B",
+            best.chunk_bytes
+        );
     }
 }

@@ -310,25 +310,41 @@ mod tests {
     fn crossover_tracks_the_live_ring_config() {
         // The PR 5 headline bugfix: the LL/tree path must be priced
         // against the chunking the other engines actually run on, so
-        // changing the live ring chunking must move the crossover.
-        let p = PlatformSpec::platform_c();
-        let op = XcclOp::Broadcast { root: 0 };
-        let mut ac = AutoConfig::for_platform(&p);
-        let tuned = crossover_bytes(&p, &op, 16, 1, &ac);
-        // A monolithic (unpipelined) ring pays the whole segment's wire
-        // time on every hop, so the modelled ring slows down and the
-        // fast path must extend.
-        ac.ring_bcast = RingConfig { chunk_bytes: u64::MAX, max_inflight: 2 };
-        let mono = crossover_bytes(&p, &op, 16, 1, &ac);
-        assert!(
-            mono > tuned,
-            "crossover must move with the ring chunk: {mono} (monolithic) vs {tuned} (tuned)"
-        );
-        // The per-op threading matters too: an allreduce-config change
-        // must not move the broadcast crossover.
-        let mut ac2 = AutoConfig::for_platform(&p);
-        ac2.ring_allred = RingConfig { chunk_bytes: u64::MAX, max_inflight: 2 };
-        assert_eq!(crossover_bytes(&p, &op, 16, 1, &ac2), tuned);
+        // changing the live ring chunking must move the crossover. Each
+        // case is a shape where LL/tree meets the ring: three single-GPU
+        // nodes of C are too few for a DBT, and on B at Fig. 6 scale
+        // LL/tree owns the broadcast band between the DBT and the ring.
+        let cases = [
+            (PlatformSpec::platform_c(), XcclOp::AllReduce { op: ReduceOp::SumF32 }, 3, 1),
+            (PlatformSpec::platform_b(), XcclOp::Broadcast { root: 0 }, 64, 4),
+        ];
+        let mono = RingConfig { chunk_bytes: u64::MAX, max_inflight: 2 };
+        for (p, op, n, nrings) in cases {
+            let bcast = matches!(op, XcclOp::Broadcast { .. });
+            let ac = AutoConfig::for_platform(&p);
+            let tuned = crossover_bytes(&p, &op, n, nrings, &ac);
+            assert!(tuned > 0, "{} {op:?}: LL regime must be non-empty", p.name);
+            // A monolithic (unpipelined) ring pays the whole segment's
+            // wire time on every hop, so the modelled ring slows down and
+            // the fast path must extend.
+            let mut own = ac;
+            // The per-op threading matters too: the other op's config
+            // change must not move this op's crossover.
+            let mut other = ac;
+            if bcast {
+                (own.ring_bcast, other.ring_allred) = (mono, mono);
+            } else {
+                (own.ring_allred, other.ring_bcast) = (mono, mono);
+            }
+            let moved = crossover_bytes(&p, &op, n, nrings, &own);
+            assert!(
+                moved > tuned,
+                "{} {op:?}: crossover must move with the ring chunk: {moved} (monolithic) vs \
+                 {tuned} (tuned)",
+                p.name
+            );
+            assert_eq!(crossover_bytes(&p, &op, n, nrings, &other), tuned, "{} {op:?}", p.name);
+        }
     }
 
     #[test]

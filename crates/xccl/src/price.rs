@@ -5,8 +5,8 @@
 //! [`crate::dbt`], [`crate::ring`], [`crate::rserver`]) and read the same
 //! calibrated platform tables the engines execute on. [`price_us`] prices
 //! one engine on one communicator shape; [`choose`] prices every
-//! candidate that has a schedule for the op and returns the cheapest,
-//! with one margin in favour of the ring — the bandwidth-optimal
+//! candidate that has a schedule for the op (the DBT once per chunk of
+//! its depth-aware ladder) and returns the cheapest, with one margin in favour of the ring — the bandwidth-optimal
 //! default a missed win costs least against. The regime boundaries are
 //! simply the sizes where the argmin changes; there are no per-engine
 //! crossover scans and no size guardrails.
@@ -65,9 +65,7 @@ fn schedule_us(
     match engine {
         CollEngine::LlTree(ac) => (shape.n >= 2 && !matches!(op, XcclOp::AllGather))
             .then(|| ll::model_time_us(platform, op, shape.n, ac, s)),
-        CollEngine::Dbt(rc) => {
-            dbt::model_time_us(platform, op, shape.n, shape.nrings, rc.chunk_bytes, s)
-        }
+        CollEngine::Dbt(rc) => dbt::model_time_us(platform, op, shape.n, shape.nrings, *rc, s),
         CollEngine::Ring(rc) => {
             Some(ring::model_time_us(platform, op, shape.n, shape.nrings, rc.chunk_bytes, s))
         }
@@ -80,12 +78,14 @@ fn schedule_us(
 }
 
 /// `Auto`'s choice for an `len`-byte `op`: the argmin of [`price_us`]
-/// over LL/tree, DBT, ring and reduction server, every chunk-pipelined
-/// candidate on the live per-op chunking `ac.ring_for(op)`, with the
-/// non-ring candidates' schedules inflated by [`RING_MARGIN`] (the
-/// launch every engine pays is exact, so the margin leaves it out).
-/// Single-device communicators run the ring (every engine is a no-op
-/// there).
+/// over LL/tree, the DBT at each chunk of [`dbt::chunk_ladder`], the
+/// ring and the reduction server, the other chunk-pipelined candidates
+/// on the live per-op chunking `ac.ring_for(op)`, with the non-ring
+/// candidates' schedules inflated by [`RING_MARGIN`] (the launch every
+/// engine pays is exact, so the margin leaves it out). Ties keep the
+/// earlier candidate, so the DBT keeps its live chunk unless a finer
+/// one prices strictly cheaper. Single-device communicators run the
+/// ring (every engine is a no-op there).
 pub(crate) fn choose(
     platform: &PlatformSpec,
     shape: &Shape,
@@ -99,7 +99,11 @@ pub(crate) fn choose(
         return ring;
     }
     let mut best = (schedule_us(platform, shape, &ring, op, len).expect("the ring is total"), ring);
-    for engine in [CollEngine::LlTree(*ac), CollEngine::Dbt(rc), CollEngine::ReductionServer(rc)] {
+    let dbt = dbt::chunk_ladder(rc, shape.nrings, len).map(CollEngine::Dbt);
+    let candidates = std::iter::once(CollEngine::LlTree(*ac))
+        .chain(dbt)
+        .chain([CollEngine::ReductionServer(rc)]);
+    for engine in candidates {
         if let Some(t) = schedule_us(platform, shape, &engine, op, len) {
             if t * RING_MARGIN < best.0 {
                 best = (t * RING_MARGIN, engine);

@@ -51,7 +51,7 @@ const RING_KNEE_FRAC: f64 = 0.5;
 /// Ring chunk boundaries are kept 4 KiB-aligned (matches the RMA
 /// pipeline's staging granularity; reductions re-align to elements when
 /// the payload is split).
-const RING_CHUNK_ALIGN: u64 = 4 << 10;
+pub(crate) const RING_CHUNK_ALIGN: u64 = 4 << 10;
 
 /// Finest useful split of one allreduce ring segment, in chunks (the
 /// floor the engine applies on top of the configured grain for huge

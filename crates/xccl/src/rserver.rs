@@ -83,12 +83,6 @@ const STRIPE_CHUNKS: u64 = 4;
 /// the leaders' upload lanes outweighs the overlap a finer deal buys.
 const MIN_GRAIN: u64 = 4 << 10;
 
-/// The emergent schedule's overhead over the pure bandwidth bound, like
-/// the DBT model's fill penalty: uploads from many leaders interleave
-/// on each server NIC and the fold turn-around couples the two wire
-/// legs.
-const FILL_PENALTY: f64 = 1.5;
-
 /// Reduction-server designation for a communicator
 /// ([`CommOpts::servers`](crate::CommOpts)): how many whole nodes of the
 /// communicator are dedicated server nodes, carved from the tail of the
@@ -184,7 +178,7 @@ impl ServerLayout {
 /// the larger plus a 30 % residual of the smaller, the ring model's
 /// overlap rule), plus the pipeline fill: the intra-node chains up and
 /// down, one upload and one fan-back hop carrying a stripe chunk, and
-/// the fold step, inflated by the shared fill penalty.
+/// the fold step.
 pub(crate) fn model_time_us(
     platform: &PlatformSpec,
     op: &XcclOp,
@@ -206,7 +200,7 @@ pub(crate) fn model_time_us(
     let cw = stripe.min(chunk_bytes.max(1) as f64);
     let fill = 2.0 * chain * (t.step_us + lat) + 2.0 * (t.step_us + lat + cw / bw) + t.step_us;
     let (hi, lo) = if up > down { (up, down) } else { (down, up) };
-    hi + 0.3 * lo + FILL_PENALTY * fill
+    hi + 0.3 * lo + fill
 }
 
 /// Execute the reduction-server allreduce schedule in the calling task's

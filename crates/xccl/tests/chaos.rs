@@ -35,12 +35,17 @@ const PER_NODE: usize = 4;
 const NRANKS: usize = NODES * PER_NODE;
 
 fn boot(sim: &Sim, plan: &FaultPlan) -> Arc<FabricWorld> {
-    sim.set_fault_plan(plan.clone());
     let spec =
         ClusterSpec { platform: PlatformSpec::platform_a(), nodes: NODES, gpus_per_node: PER_NODE };
+    boot_on(sim, plan, spec)
+}
+
+fn boot_on(sim: &Sim, plan: &FaultPlan, spec: ClusterSpec) -> Arc<FabricWorld> {
+    sim.set_fault_plan(plan.clone());
+    let nranks = spec.nodes * spec.gpus_per_node;
     let topo = Arc::new(Topology::build(&sim.handle(), spec));
     let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::Functional, Some(8 << 20));
-    let world = FabricWorld::new(topo, devs, NRANKS);
+    let world = FabricWorld::new(topo, devs, nranks);
     // Attach the simulator so the health vector derives live from the
     // installed plan (what the runtime does): faults armed after build
     // are visible too, and rank-kill windows reach the kernel.
@@ -466,6 +471,16 @@ fn every_rail_dead_keeps_the_full_layout() {
     sim.run().unwrap();
 }
 
+/// The world the re-pricing tests read `Auto`'s choices on: platform C
+/// at its Fig. 6 scale, 16 single-GPU nodes, where LL/tree, the DBT and
+/// the ring each own a band of the allreduce sizes. (On A the DBT
+/// simulates faster than LL/tree at every small size, so there is no
+/// LL band to watch retreat.)
+fn boot_c16(sim: &Sim, plan: &FaultPlan) -> Arc<FabricWorld> {
+    let spec = ClusterSpec { platform: PlatformSpec::platform_c(), nodes: 16, gpus_per_node: 1 };
+    boot_on(sim, plan, spec)
+}
+
 /// `Auto`'s choice for a SumF64 allreduce at every power of two from
 /// 1 KiB to 64 MiB, read through `auto_choice` on rank 0's communicator
 /// under the world's live health, ranked by bandwidth efficiency:
@@ -473,7 +488,8 @@ fn every_rail_dead_keeps_the_full_layout() {
 fn auto_choices(mut sim: Sim, world: &Arc<FabricWorld>) -> Vec<u8> {
     let id = UniqueId::generate();
     let out = Arc::new(Mutex::new(Vec::new()));
-    for r in 0..NRANKS {
+    let nranks = world.nranks;
+    for r in 0..nranks {
         let world = world.clone();
         let out = out.clone();
         sim.spawn(format!("rank{r}"), move |ctx| {
@@ -481,11 +497,11 @@ fn auto_choices(mut sim: Sim, world: &Arc<FabricWorld>) -> Vec<u8> {
             let comm = XcclComm::init(
                 ctx,
                 &world,
-                (0..NRANKS).collect(),
+                (0..nranks).collect(),
                 r,
                 UniqueId::from_bits(bits),
                 CommOpts {
-                    engine: CollEngine::Auto(AutoConfig::for_platform(&PlatformSpec::platform_a())),
+                    engine: CollEngine::Auto(AutoConfig::for_platform(&world.platform)),
                     ..CommOpts::default()
                 },
             );
@@ -530,12 +546,12 @@ fn degraded_fabric_moves_auto_regimes_toward_the_ring() {
     // toward the bandwidth-optimal ring.
     let choices = |plan: &FaultPlan| {
         let sim = Sim::new();
-        let world = boot(&sim, plan);
+        let world = boot_c16(&sim, plan);
         auto_choices(sim, &world)
     };
     let healthy = choices(&FaultPlan::new());
     let probe = Sim::new();
-    let world = boot(&probe, &FaultPlan::new());
+    let world = boot_c16(&probe, &FaultPlan::new());
     let mut plan = FaultPlan::new();
     for f in 0..world.devs.len() {
         plan = plan.degrade_link(world.devs.dev(f).nic, SimTime::ZERO, SimTime(u64::MAX), 50);
@@ -553,7 +569,7 @@ fn faults_armed_after_build_still_reprice_auto_regimes() {
     // armed before it.
     let choices = |degrade_after_build: bool| {
         let sim = Sim::new();
-        let world = boot(&sim, &FaultPlan::new());
+        let world = boot_c16(&sim, &FaultPlan::new());
         if degrade_after_build {
             let mut plan = FaultPlan::new();
             for f in 0..world.devs.len() {

@@ -457,7 +457,8 @@ fn one_collective(
                 2 => XcclOp::AllGather,
                 _ => XcclOp::Reduce { root: 1 % nranks, op: ReduceOp::SumU64 },
             };
-            let cap = len * nranks as u64;
+            // Only all-gather fills `len` per rank; the others touch `len`.
+            let cap = if kind == 2 { len * nranks as u64 } else { len };
             let dev = world.primary_dev(r);
             let off = dev.malloc(cap, 256).unwrap();
             let bytes: Vec<u8> = (0..cap as usize).map(|i| (r * 31 + i * 7) as u8).collect();
@@ -476,6 +477,29 @@ fn one_collective(
     (rep.end_time, rep.entries_processed, bufs, choice.unwrap())
 }
 
+#[test]
+fn pinned_dbt_runs_its_config_verbatim() {
+    // On 64 single-GPU nodes of C, Auto prices a 512 KiB allreduce's
+    // DBT at a chunk below the live knee. Pinning the DBT at the live
+    // config must bypass that ladder: the pinned engine is named as is
+    // and runs its own chunk, so it lands on a different instant.
+    let p = PlatformSpec::platform_c();
+    let ac = AutoConfig::for_platform(&p);
+    let live = ac.ring_for(&XcclOp::AllReduce { op: ReduceOp::SumU64 });
+    let (shape, plan, len) = ((64, 1), FaultPlan::new(), 512 << 10);
+    let (t_auto, _, bytes_auto, choice) =
+        one_collective(&p, shape, &plan, CollEngine::Auto(ac), 0, len);
+    assert!(
+        matches!(choice, CollEngine::Dbt(rc) if rc.chunk_bytes < live.chunk_bytes),
+        "Auto should take a sub-knee DBT chunk here, picks {choice:?}"
+    );
+    let pinned = CollEngine::Dbt(live);
+    let (t_pin, _, bytes_pin, named) = one_collective(&p, shape, &plan, pinned, 0, len);
+    assert_eq!(named, pinned, "a pinned engine is its own choice");
+    assert_ne!(t_pin, t_auto, "the pinned DBT must run the live chunk, not the ladder's");
+    assert_eq!(bytes_pin, bytes_auto, "the chunking never changes the bytes");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -483,21 +507,34 @@ proptest! {
     /// size (64 B – 512 KiB, log-uniform, ragged tails included) and
     /// healthy or degraded fabric, the engine `auto_choice` returns,
     /// run pinned, lands bit for bit the virtual time, scheduler
-    /// entries and buffer bytes of the `Auto` call.
+    /// entries and buffer bytes of the `Auto` call. The fourth shape is
+    /// a C communicator of 16–256 single-GPU nodes at 64 KiB – 1 MiB,
+    /// where the DBT's chunk ladder picks chunks below the live knee
+    /// (all-gather is swapped for allreduce there: its n·len buffers
+    /// would not stay small).
     #[test]
     fn auto_is_bit_identical_to_the_engine_it_names(
-        which in 0usize..3,
+        which in 0usize..4,
         kind in 0u8..4,
         shift in 6u32..20,
         frac in 0u64..1024,
         degraded in 0u8..2,
+        nodes_log2 in 4u32..9,
     ) {
-        let (platform, shape) = [
-            (PlatformSpec::platform_a(), (4, 4)),
-            (PlatformSpec::platform_b(), (2, 8)),
-            (PlatformSpec::platform_c(), (8, 1)),
-        ][which].clone();
-        let len = ((1u64 << shift) + (frac << shift) / 1024).max(8);
+        let (platform, shape, len, kind) = if which == 3 {
+            // At most 48 MiB of payload across the communicator.
+            let nodes = 1usize << nodes_log2;
+            let shift = 16 + shift % (10 - nodes_log2).min(5);
+            let len = (1u64 << shift) + (frac << shift) / 2048;
+            (PlatformSpec::platform_c(), (nodes, 1), len, if kind == 2 { 0 } else { kind })
+        } else {
+            let (platform, shape) = [
+                (PlatformSpec::platform_a(), (4, 4)),
+                (PlatformSpec::platform_b(), (2, 8)),
+                (PlatformSpec::platform_c(), (8, 1)),
+            ][which].clone();
+            (platform, shape, ((1u64 << shift) + (frac << shift) / 1024).max(8), kind)
+        };
         let mut plan = FaultPlan::new();
         if degraded == 1 {
             // Every NIC at 5 % of nominal bandwidth for the whole run.
